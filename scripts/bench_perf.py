@@ -4,9 +4,8 @@
 Times the analog MVM hot path before/after the stacked-stream rework:
 
 * micro-kernel — ``CrossbarEngine.matvec`` on one tiled layer, with the
-  reference per-stream kernel + legacy GENIEx blocks vs. the vectorized
-  stacked-stream kernel + blocked-GEMM GENIEx evaluation (both pairs
-  are bit-identical; only wall time differs);
+  reference per-stream kernel vs. the vectorized stacked-stream kernel
+  (bit-identical; only wall time differs);
 * end-to-end — a non-ideal ResNet-20 forward pass under the same two
   configurations;
 * engine cache — repeated ``convert_to_hardware`` with a cold vs. warm
@@ -64,10 +63,9 @@ def best_of(fn, repeats: int) -> float:
     return min(times)
 
 
-def set_modes(engines, geniex, kernel: str, block_mode: str) -> None:
+def set_kernel(engines, kernel: str) -> None:
     for engine in engines:
         engine.kernel = kernel
-    geniex.block_mode = block_mode
 
 
 def bench_micro_matvec(config, geniex, batch: int, repeats: int) -> dict:
@@ -76,9 +74,9 @@ def bench_micro_matvec(config, geniex, batch: int, repeats: int) -> dict:
     engine = CrossbarEngine(weight, config, geniex, np.random.default_rng(1))
     x = rng.random((batch, 72)).astype(np.float32)
 
-    set_modes([engine], geniex, "reference", "legacy")
+    set_kernel([engine], "reference")
     before = best_of(lambda: engine.matvec(x), repeats)
-    set_modes([engine], geniex, "vectorized", "gemm")
+    set_kernel([engine], "vectorized")
     after = best_of(lambda: engine.matvec(x), repeats)
     return {
         "shape": {"weight": [32, 72], "batch": batch},
@@ -99,9 +97,9 @@ def bench_resnet_forward(config, geniex, batch: int, repeats: int) -> dict:
     x = Tensor(np.random.default_rng(0).random((batch, 3, 16, 16)).astype(np.float32))
 
     with no_grad():
-        set_modes(engines, geniex, "reference", "legacy")
+        set_kernel(engines, "reference")
         before = best_of(lambda: hardware(x), repeats)
-        set_modes(engines, geniex, "vectorized", "gemm")
+        set_kernel(engines, "vectorized")
         reset_perf(hardware)
         after = best_of(lambda: hardware(x), repeats)
     report = perf_report(hardware)

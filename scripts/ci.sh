@@ -13,6 +13,15 @@ echo "=== tier-1: unit + integration + property tests ==="
 python -m pytest -x -q
 
 echo
+echo "=== perfbench: the benchmark harness's own tests ==="
+python -m pytest perfbench/tests -q
+
+echo
+echo "=== BLAS independence: one predictor digest across OPENBLAS_CORETYPE ==="
+# Skips (with its reason) unless numpy's BLAS is a DYNAMIC_ARCH OpenBLAS.
+python -m pytest -q -rs tests/test_blas_independence.py
+
+echo
 echo "=== verify: numerical conformance catalog (compiled kernels) ==="
 python scripts/verify_numerics.py --seed 1234 --out artifacts/verify_report.json
 

@@ -32,6 +32,8 @@ import numpy as np
 from repro.verify.oracle import GAIN_CLIP as ORACLE_GAIN_CLIP
 from repro.verify.oracle import (
     OracleEngine,
+    naive_geniex_currents,
+    naive_ideal_currents,
     naive_plane_split,
     naive_reassemble,
     naive_slice_lsb_first,
@@ -301,6 +303,40 @@ def check_empty_batch(
     out = engine.matvec(np.zeros((0, weight.shape[1])))
     if out.shape != (0, weight.shape[0]):
         raise InvariantViolation(f"empty batch returned shape {out.shape}")
+
+
+def check_predictor_matches_naive(
+    predictor, config: CrossbarConfig, seed: int = 0, batch: int = 5
+) -> None:
+    """A predictor's bank currents equal the scalar-loop reference.
+
+    Pins the fixed reduction order of :mod:`repro.xbar._ckernels` —
+    whichever implementation is live (compiled, or the numpy twin with
+    ``REPRO_XBAR_CKERNELS=0``) — to :func:`naive_geniex_currents` /
+    :func:`naive_ideal_currents`, bit for bit.  Two crossbars with
+    ragged used-column counts are banked, and the batch carries an
+    all-zero row and a zero input line.
+    """
+    rng = np.random.default_rng(seed)
+    dev = config.device
+    rows, cols = config.rows, config.cols
+    tiles = [
+        dev.g_min + rng.integers(0, 4, size=(rows, cols)) * (dev.g_max - dev.g_min) / 3
+        for _ in range(2)
+    ]
+    used = [cols, max(1, cols - 3)]
+    v = rng.random((batch, rows)) * dev.v_read
+    v[1] = 0.0
+    v[:, 0] = 0.0
+    handle = predictor.concat_bias(
+        [predictor.prepare_crossbar(g, u) for g, u in zip(tiles, used)]
+    )
+    got = predictor.predict_from_bias(v, handle)
+    if isinstance(predictor, IdealPredictor):
+        parts = [naive_ideal_currents(v, g[:, :u]) for g, u in zip(tiles, used)]
+    else:
+        parts = [naive_geniex_currents(predictor, v, g, u) for g, u in zip(tiles, used)]
+    _expect_equal("predictor_vs_naive", np.concatenate(parts, axis=1), got)
 
 
 def check_gain_clip_contract() -> None:

@@ -18,17 +18,25 @@ contract rather than of the implementation under test:
 * the **column predictor** itself (``prepare_crossbar`` /
   ``concat_bias`` / ``predict_from_bias``) — the analog backend is the
   function being wrapped, not a fast path.  Predictors promise
-  per-row batch independence (their batch matmuls route through
-  :func:`repro.xbar.numerics.row_stable_matmul`); the oracle leans on
-  that promise when the engine regroups rows (stream stacking,
-  zero-row compaction), and the compaction invariants test it;
+  per-row batch independence; the oracle leans on that promise when
+  the engine regroups rows (stream stacking, zero-row compaction), and
+  the compaction invariants test it.  The promise holds by
+  construction: every predictor reduction is summed in the fixed
+  order of :mod:`repro.xbar._ckernels` (ascending index, from the
+  first product, one rounding per operation), never by BLAS, so a
+  row's bits depend neither on its batch nor on the BLAS build or CPU.
+  The predictor is itself pinned to a scalar-loop reference,
+  :func:`naive_geniex_currents` / :func:`naive_ideal_currents` below;
 * ``np.matmul`` for the guard's ideal digital fallback and the
-  calibration ideal (one BLAS call on identical operands is
-  deterministic);
-* ``np.sum`` pairwise reductions for per-row voltage sums and the gain
-  statistics.  Pairwise summation order is part of the contract: a
-  naive left-to-right loop sum differs in the last ULPs, so the oracle
-  pins the same reduction the periphery (engine) uses.
+  calibration ideal.  These are the only BLAS calls left on the
+  contract: one call on identical operands is deterministic on one
+  machine, so engine and oracle agree, but their last bits may differ
+  between BLAS builds;
+* ``np.sum`` / ``np.mean`` pairwise reductions for per-row voltage
+  sums, the gain statistics and GENIEx's mean drive ``v_frac``.
+  Pairwise summation order is part of the contract: a naive
+  left-to-right loop sum differs in the last ULPs, so the oracle pins
+  the same reduction the periphery (engine) uses.
 
 Everything else — quantization, slicing, tiling, ADC transfer, the
 dequantization and shift-and-add accumulation — is explicit per-element
@@ -118,6 +126,93 @@ def naive_plane_split(
         for i in range(flat.size):
             dst[i] = (int(flat[i]) >> shift) & mask
     return planes
+
+
+# ----------------------------------------------------------------------
+# Scalar-loop predictor references (the fixed reduction order)
+# ----------------------------------------------------------------------
+def _ordered_dot(a: np.ndarray, b: np.ndarray, j: int, dtype) -> np.generic:
+    """``sum_p a[p] * b[p, j]``: ascending ``p``, from the first product."""
+    acc = dtype(a[0]) * dtype(b[0, j])
+    for p in range(1, a.shape[0]):
+        acc = acc + dtype(a[p]) * dtype(b[p, j])
+    return acc
+
+
+def naive_ideal_currents(voltages: np.ndarray, conductances: np.ndarray) -> np.ndarray:
+    """Scalar-loop reference for :class:`IdealPredictor` (float64)."""
+    v = np.atleast_2d(np.asarray(voltages, dtype=np.float64))
+    g = np.asarray(conductances, dtype=np.float64)
+    out = np.zeros((v.shape[0], g.shape[1]))
+    for i in range(v.shape[0]):
+        for c in range(g.shape[1]):
+            out[i, c] = _ordered_dot(v[i], g, c, np.float64)
+    return out
+
+
+def _relu32(t: np.float32) -> np.float32:
+    """``np.maximum(t, 0.0)``: NaN propagates, ``-0.0`` becomes ``+0.0``."""
+    if t != t:
+        return t
+    return t if t > 0 else np.float32(0.0)
+
+
+def naive_geniex_currents(
+    geniex, voltages: np.ndarray, conductances: np.ndarray, used_cols: int | None = None
+) -> np.ndarray:
+    """Scalar-loop reference for ``GENIEx.prepare_crossbar`` + ``predict_from_bias``.
+
+    Rebuilt from the raw trained parameters, one output element at a
+    time, in the order the fast paths must follow:
+
+    * ``bias[c,h] = sum_k feat[c,k] * w1g[h,k] + b1[h]`` (float32);
+    * ``ideal[i,c] = sum_r v[i,r] * G[r,c]`` and
+      ``hv[i,h] = sum_k v_norm[i,k] * w1v[h,k]`` (float32);
+    * ``dev[i,c] = sum_h relu(hv[i,h] + bias[c,h]) * w2[h] + b2`` (float32);
+    * the float64 polynomial-backbone tail.
+
+    Every sum runs ascending from its first product with one rounding
+    per multiply and per add.  The input normalization
+    (``bias_feature_matrix``, ``v / v_read`` and the pairwise mean
+    drive) is shared with the predictor as part of the contract.
+    """
+    f32 = np.float32
+    rows = geniex.rows
+    g = np.asarray(conductances, dtype=np.float64)
+    used = g.shape[1] if used_cols is None else used_cols
+    feats = geniex.bias_feature_matrix(g, geniex.device)  # (C, R + E)
+    w1v = geniex.w1[:, :rows].T  # (R, H)
+    w1g = geniex.w1[:, rows:].T  # (R + E, H)
+    hidden = geniex.w1.shape[0]
+    bias = np.zeros((used, hidden), dtype=f32)
+    for c in range(used):
+        for h in range(hidden):
+            bias[c, h] = _ordered_dot(feats[c], w1g, h, f32) + geniex.b1[h]
+    g32 = g[:, :used].astype(f32)
+    v32 = np.atleast_2d(np.asarray(voltages, dtype=f32))
+    v_norm = v32 / f32(geniex.device.v_read)
+    v_frac = v_norm.mean(axis=1)
+    coef = [float(x) for x in geniex.poly]
+    i_norm = geniex._i_norm
+    out = np.zeros((v32.shape[0], used))
+    for i in range(v32.shape[0]):
+        hv = [_ordered_dot(v_norm[i], w1v, h, f32) for h in range(hidden)]
+        vf = float(v_frac[i])
+        for c in range(used):
+            ideal = _ordered_dot(v32[i], g32, c, f32)
+            dev = _relu32(hv[0] + bias[c, 0]) * geniex.w2[0]
+            for h in range(1, hidden):
+                dev = dev + _relu32(hv[h] + bias[c, h]) * geniex.w2[h]
+            dev = dev + f32(geniex.b2)
+            dev = dev * f32(geniex.target_std)
+            dev = dev + f32(geniex.target_mean)
+            x = float(ideal / f32(i_norm))
+            poly = coef[0] + coef[1] * x
+            poly = poly + (coef[2] * x) * x
+            poly = poly + coef[3] * vf
+            poly = poly + (coef[4] * x) * vf
+            out[i, c] = float(ideal) - (float(dev) + poly) * i_norm
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -123,6 +123,11 @@ def _catalog(
                     weight, c, p, x, seed=seed
                 ),
             )
+        if pname != "circuit":
+            yield (
+                f"differential/{pname}/predictor_vs_naive",
+                lambda p=predictor: inv.check_predictor_matches_naive(p, base, seed=seed),
+            )
         config = base
         yield (
             f"metamorphic/{pname}/row_independence",

@@ -1,27 +1,53 @@
 """Optional compiled kernels for the analog hot path.
 
-NumPy's broadcast ufuncs pay their inner-loop dispatch once per 32-wide
-hidden row in the GENIEx deviation evaluation, which caps the hottest
-elementwise passes at a fraction of memory speed on this workload.  The
-two kernels here replace those passes with tiny C loops compiled at
-first use with the system compiler (no third-party dependency: ctypes +
-``cc``), under strict IEEE semantics:
+Tiny C loops compiled at first use with the system compiler (no
+third-party dependency: ctypes + ``cc``), under strict IEEE semantics.
+Every kernel has a numpy twin that produces the same bits; the
+compiled one is an accelerator, never a requirement.
 
-* ``fused_bias_relu`` — ``out[i,c,h] = relu(hv[i,h] + bias[c,h])`` in a
-  single pass (numpy needs a broadcast add plus an in-place maximum);
-* ``poly_backbone`` — the five-term GENIEx polynomial backbone with the
-  exact association order of the numpy expression, in one pass and
-  without the chain of float64 temporaries.
+Fixed-order reductions
+----------------------
+The GENIEx bank evaluation and the ideal ``V @ G`` backend do not go
+through BLAS: a BLAS GEMM picks its summation split by batch shape and
+by the CPU it detects at run time, so the same row could round
+differently in different batches or on different machines.  Instead
+``repro`` specifies the order itself:
 
-Bit-identity is the contract: compilation uses ``-ffp-contract=off``
-and ``-fno-fast-math`` so every add/multiply rounds exactly like the
-corresponding numpy ufunc, the ReLU reproduces ``np.maximum``'s
-``-0.0``/NaN behavior, and the golden regression tests compare the
-compiled and pure-numpy paths bit for bit.
+* ``ordered_matmul(a, b)[i, j] = sum_p a[i, p] * b[p, j]`` with ``p``
+  ascending, starting from the first product (not from 0), one
+  rounding per multiply and per add, in the operands' dtype (float32
+  or float64).  GENIEx's ideal term ``V @ G``, its hidden drive
+  ``V_norm @ w1v.T`` and its column biases ``features @ w1g.T`` all use
+  it, as does :class:`~repro.xbar.simulator.IdealPredictor` (float64).
+* ``geniex_currents`` — the whole ``GENIEx.predict_from_bias`` in one
+  pass: the two ordered products above, then
+  ``dev[i,c] = sum_h relu(hv[i,h] + bias[h,c]) * w2[h]`` (``h``
+  ascending, from the first product) ``+ float32(b2)``, then the
+  post-MLP tail (polynomial backbone, de-standardization, current
+  reconstruction) in the exact order and precisions of the numpy
+  chain.  The ReLU reproduces ``np.maximum(t, 0.0)``: NaN propagates,
+  ``-0.0`` becomes ``+0.0``.  Columns are the vector dimension: a
+  64-column block accumulates in registers/L1 with the bias stored
+  ``(hidden, cols)``, so the ``(rows, cols, hidden)`` pre-activation is
+  never materialised.
 
-If no compiler is present (or ``REPRO_XBAR_CKERNELS=0``), everything
-transparently falls back to the numpy implementations — the kernels are
-an accelerator, never a requirement.
+Why every build gives the same bits
+-----------------------------------
+Compilation uses ``-ffp-contract=off`` and ``-fno-fast-math``, so no
+multiply-add is fused and no sum is reassociated.  On x86-64 with GCC
+the reduction kernels are multiversioned (``target_clones`` for
+x86-64-v4, x86-64-v3 and the baseline); each variant only vectorizes
+*across* independent outputs (columns, hidden units), so every output
+element sees the same sequence of lane-wise IEEE operations whatever
+the SIMD width — the clones differ in speed, not in bits.  A compiler
+that rejects the attribute gets a plain build of the same source.
+
+The numpy fallback (``REPRO_XBAR_CKERNELS=0`` or no compiler) runs the
+same loops over ``p`` / ``h`` as vectorised axpys over ``(rows,
+cols)``.  That is one ufunc call per reduction step: at GENIEx shapes
+a whole bank evaluation takes 11-14x the compiled pass (and 2.6-4.5x
+the BLAS-based evaluation it replaced) — the price of owning the order.
+It is the correctness twin, not the fast path.
 """
 
 from __future__ import annotations
@@ -36,79 +62,170 @@ from pathlib import Path
 import numpy as np
 
 _SOURCE = r"""
-/* IEEE-strict helpers for the GENIEx hot path.  Compiled with
- * -ffp-contract=off so no multiply-add is fused; every operation
- * rounds exactly once, like the numpy ufunc chain it replaces. */
+/* IEEE-strict kernels for the analog hot path.  Compiled with
+ * -ffp-contract=off so no multiply-add is fused: every operation
+ * rounds exactly once, like the numpy ufunc chain it replaces.
+ *
+ * The reduction kernels vectorize across *independent* outputs
+ * (columns, hidden units) and never split or reassociate a sum, so
+ * every SIMD width -- each target_clones variant, and the scalar tail
+ * of a vectorized loop -- performs the same IEEE operations on each
+ * output element in the same order and yields the same bits. */
 
 #include <math.h>
+#include <stdlib.h>
 
-void fused_bias_relu(const float *hv, const float *bias, float *out,
-                     long n, long cols, long hidden)
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(REPRO_NO_CLONES)
+#define MULTIVERSIONED \
+    __attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))
+#else
+#define MULTIVERSIONED
+#endif
+
+#define INLINE static inline __attribute__((always_inline))
+
+/* Columns per register/L1 accumulator block; rows per L1 tile. */
+#define COL_BLOCK 64
+#define ROW_TILE 32
+
+/* np.maximum(t, 0.0): NaN propagates, -0.0 -> +0.0 */
+INLINE float relu(float t) { return (t == t) ? (t > 0.0f ? t : 0.0f) : t; }
+
+/* o[j] = sum_p a[p] * b[p*m + j] for j < w: p ascending, starting from
+ * the first product (k >= 1), one rounding per multiply and per add. */
+#define GEMV_BLOCK(NAME, T)                                              \
+    INLINE void NAME(const T *a, const T *b, T *o, long k, long m, long w) \
+    {                                                                    \
+        T acc[COL_BLOCK];                                                \
+        for (long j = 0; j < w; ++j)                                     \
+            acc[j] = a[0] * b[j];                                        \
+        for (long p = 1; p < k; ++p) {                                   \
+            const T ap = a[p];                                           \
+            const T *bp = b + p * m;                                     \
+            for (long j = 0; j < w; ++j)                                 \
+                acc[j] = acc[j] + ap * bp[j];                            \
+        }                                                                \
+        for (long j = 0; j < w; ++j)                                     \
+            o[j] = acc[j];                                               \
+    }
+
+/* out = a @ b for (n, k) x (k, m), k >= 1, in that fixed order.  Full
+ * blocks get a compile-time width (register accumulators); the ragged
+ * last block runs the same per-element sequence. */
+#define ORDERED_GEMM(NAME, BLOCK, T)                                     \
+    MULTIVERSIONED void NAME(const T *a, const T *b, T *out,             \
+                             long n, long k, long m)                     \
+    {                                                                    \
+        for (long i = 0; i < n; ++i) {                                   \
+            long j0 = 0;                                                 \
+            for (; j0 + COL_BLOCK <= m; j0 += COL_BLOCK)                 \
+                BLOCK(a + i * k, b + j0, out + i * m + j0, k, m, COL_BLOCK); \
+            if (j0 < m)                                                  \
+                BLOCK(a + i * k, b + j0, out + i * m + j0, k, m, m - j0); \
+        }                                                                \
+    }
+
+GEMV_BLOCK(gemv_block_f32, float)
+GEMV_BLOCK(gemv_block_f64, double)
+ORDERED_GEMM(ordered_gemm_f32, gemv_block_f32, float)
+ORDERED_GEMM(ordered_gemm_f64, gemv_block_f64, double)
+
+/* One (row, column block) of the GENIEx bank evaluation:
+ *   ideal[j] = sum_r v[r] * g[r, j]                          (float32)
+ *   dev[j]   = sum_h relu(hv[h] + bias_t[h, j]) * w2[h] + b2 (float32)
+ * then the post-MLP tail in the numpy chain's order and precisions:
+ *   i_frac    = ideal / float32(i_norm)
+ *   deviation = dev * target_std + target_mean               (float32)
+ *   deviation = deviation + poly(i_frac, v_frac)             (float64)
+ *   currents  = ideal - deviation * i_norm                   (float64)
+ * with poly = ((((c0 + c1*x) + (c2*x)*x) + c3*v) + (c4*x)*v). */
+INLINE void geniex_block(const float *v, const float *g, const float *hv,
+                         const float *bias_t, const float *w2, float b2,
+                         const double *c, double vf, double *o,
+                         long rows, long cols, long hidden, long w,
+                         float inorm32, float std32, float mean32, double inorm)
 {
-    for (long i = 0; i < n; ++i) {
-        const float *row = hv + i * hidden;
-        float *dst = out + i * cols * hidden;
-        for (long c = 0; c < cols; ++c) {
-            const float *b = bias + c * hidden;
-            float *o = dst + c * hidden;
-            for (long h = 0; h < hidden; ++h) {
-                float t = row[h] + b[h];
-                /* np.maximum(t, 0.0): NaN propagates, -0.0 -> +0.0 */
-                o[h] = (t == t) ? (t > 0.0f ? t : 0.0f) : t;
+    float ideal[COL_BLOCK], dev[COL_BLOCK];
+    for (long j = 0; j < w; ++j)
+        ideal[j] = v[0] * g[j];
+    for (long r = 1; r < rows; ++r) {
+        const float vr = v[r];
+        const float *gr = g + r * cols;
+        for (long j = 0; j < w; ++j)
+            ideal[j] = ideal[j] + vr * gr[j];
+    }
+    for (long j = 0; j < w; ++j)
+        dev[j] = relu(hv[0] + bias_t[j]) * w2[0];
+    for (long h = 1; h < hidden; ++h) {
+        const float hh = hv[h], wh = w2[h];
+        const float *bh = bias_t + h * cols;
+        for (long j = 0; j < w; ++j)
+            dev[j] = dev[j] + relu(hh + bh[j]) * wh;
+    }
+    const double c3v = c[3] * vf;
+    for (long j = 0; j < w; ++j) {
+        float x32 = ideal[j] / inorm32;
+        double x = (double)x32;
+        double poly = c[0] + c[1] * x;
+        poly = poly + (c[2] * x) * x;
+        poly = poly + c3v;
+        poly = poly + (c[4] * x) * vf;
+        float d = dev[j] + b2;
+        d = d * std32;
+        d = d + mean32;
+        double dd = (double)d + poly;
+        o[j] = (double)ideal[j] - dd * inorm;
+    }
+}
+
+/* GENIEx bank currents for n voltage rows (rows, hidden >= 1).
+ * v, vn: (n, rows) volts and normalized volts; g: (rows, cols)
+ * conductances; w1t: (rows, hidden) voltage half of the first layer;
+ * bias_t: (hidden, cols) per-column hidden constants; v_frac: (n,).
+ * Rows are tiled so one column block's conductances and biases stay
+ * in L1 across the tile; hv (ROW_TILE x hidden) is the only scratch.
+ * Returns nonzero (out untouched) if that scratch can't be had. */
+MULTIVERSIONED
+int geniex_currents(const float *v, const float *vn, const float *g,
+                    const float *w1t, const float *bias_t, const float *w2,
+                    float b2, const float *v_frac, const double *c,
+                    double *out, long n, long rows, long cols, long hidden,
+                    float inorm32, float std32, float mean32, double inorm)
+{
+    float *hv = (float *)malloc(sizeof(float) * ROW_TILE * hidden);
+    if (hv == NULL)
+        return 1;
+    for (long i0 = 0; i0 < n; i0 += ROW_TILE) {
+        long nt = n - i0 < ROW_TILE ? n - i0 : ROW_TILE;
+        for (long t = 0; t < nt; ++t) {
+            const float *a = vn + (i0 + t) * rows;
+            float *o = hv + t * hidden;
+            long h0 = 0;
+            for (; h0 + COL_BLOCK <= hidden; h0 += COL_BLOCK)
+                gemv_block_f32(a, w1t + h0, o + h0, rows, hidden, COL_BLOCK);
+            if (h0 < hidden)
+                gemv_block_f32(a, w1t + h0, o + h0, rows, hidden, hidden - h0);
+        }
+        for (long j0 = 0; j0 < cols; j0 += COL_BLOCK) {
+            long w = cols - j0 < COL_BLOCK ? cols - j0 : COL_BLOCK;
+            for (long t = 0; t < nt; ++t) {
+                long i = i0 + t;
+                /* constant width: register accumulators, as above */
+                if (w == COL_BLOCK)
+                    geniex_block(v + i * rows, g + j0, hv + t * hidden,
+                                 bias_t + j0, w2, b2, c, (double)v_frac[i],
+                                 out + i * cols + j0, rows, cols, hidden,
+                                 COL_BLOCK, inorm32, std32, mean32, inorm);
+                else
+                    geniex_block(v + i * rows, g + j0, hv + t * hidden,
+                                 bias_t + j0, w2, b2, c, (double)v_frac[i],
+                                 out + i * cols + j0, rows, cols, hidden,
+                                 w, inorm32, std32, mean32, inorm);
             }
         }
     }
-}
-
-void poly_backbone(const float *i_frac, const float *v_frac,
-                   const double *c, double *out, long n, long cols)
-{
-    /* ((((c0 + c1*x) + (c2*x)*x) + c3*v) + (c4*x)*v) — the exact
-     * association order of the numpy expression, term by term. */
-    for (long i = 0; i < n; ++i) {
-        double v = (double)v_frac[i];
-        double c3v = c[3] * v;
-        const float *xi = i_frac + i * cols;
-        double *o = out + i * cols;
-        for (long j = 0; j < cols; ++j) {
-            double x = (double)xi[j];
-            double acc = c[0] + c[1] * x;
-            acc = acc + (c[2] * x) * x;
-            acc = acc + c3v;
-            acc = acc + (c[4] * x) * v;
-            o[j] = acc;
-        }
-    }
-}
-
-void geniex_tail(const float *ideal, const float *dev, const float *v_frac,
-                 const double *c, double *out, long n, long cols,
-                 float inorm32, float std32, float mean32, double inorm)
-{
-    /* Fuses the numpy chain after the deviation MLP:
-     *   i_frac    = ideal / float32(i_norm)
-     *   deviation = dev * target_std + target_mean           (float32)
-     *   deviation = deviation + poly(i_frac, v_frac)         (float64)
-     *   currents  = ideal - deviation * i_norm               (float64)
-     * in the same per-element operation order and precisions. */
-    for (long i = 0; i < n; ++i) {
-        double v = (double)v_frac[i];
-        double c3v = c[3] * v;
-        long base = i * cols;
-        for (long j = 0; j < cols; ++j) {
-            long idx = base + j;
-            float x32 = ideal[idx] / inorm32;
-            double x = (double)x32;
-            double poly = c[0] + c[1] * x;
-            poly = poly + (c[2] * x) * x;
-            poly = poly + c3v;
-            poly = poly + (c[4] * x) * v;
-            float d = dev[idx] * std32;
-            d = d + mean32;
-            double dd = (double)d + poly;
-            out[idx] = (double)ideal[idx] - dd * inorm;
-        }
-    }
+    free(hv);
+    return 0;
 }
 
 int dequant_dots(const double *cur, const double *v_sum, const double *colw,
@@ -224,6 +341,10 @@ _CFLAGS = [
     "-fno-unsafe-math-optimizations",
 ]
 
+#: Plain build of the same source for compilers that reject
+#: ``target_clones`` (the variants only differ in speed, not in bits).
+_NO_CLONES = ["-DREPRO_NO_CLONES"]
+
 _lib: ctypes.CDLL | None = None
 _tried = False
 
@@ -238,8 +359,8 @@ def _build_dir() -> Path:
     return Path(tempfile.gettempdir())
 
 
-def _compile() -> ctypes.CDLL | None:
-    digest = hashlib.sha256((_SOURCE + " ".join(_CFLAGS)).encode()).hexdigest()[:16]
+def _build(flags: list[str]) -> Path | None:
+    digest = hashlib.sha256((_SOURCE + " ".join(flags)).encode()).hexdigest()[:16]
     build_dir = _build_dir()
     build_dir.mkdir(parents=True, exist_ok=True)
     so_path = build_dir / f"repro-ckernels-{digest}.so"
@@ -247,25 +368,33 @@ def _compile() -> ctypes.CDLL | None:
         src_path = so_path.with_suffix(".c")
         src_path.write_text(_SOURCE)
         tmp = so_path.with_suffix(f".tmp{os.getpid()}.so")
-        cmd = ["cc", *_CFLAGS, "-o", str(tmp), str(src_path)]
+        cmd = ["cc", *flags, "-o", str(tmp), str(src_path)]
         result = subprocess.run(cmd, capture_output=True, timeout=120)
         if result.returncode != 0:
             return None
         os.replace(tmp, so_path)  # atomic vs. concurrent builders
+    return so_path
+
+
+def _compile() -> ctypes.CDLL | None:
+    so_path = _build(_CFLAGS) or _build(_CFLAGS + _NO_CLONES)
+    if so_path is None:
+        return None
     lib = ctypes.CDLL(str(so_path))
-    lib.fused_bias_relu.argtypes = [
-        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-        ctypes.c_long, ctypes.c_long, ctypes.c_long,
-    ]
-    lib.poly_backbone.argtypes = [
+    for name in ("ordered_gemm_f32", "ordered_gemm_f64"):
+        getattr(lib, name).argtypes = [
+            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+            ctypes.c_long, ctypes.c_long, ctypes.c_long,
+        ]
+        getattr(lib, name).restype = None
+    lib.geniex_currents.argtypes = [
         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-        ctypes.c_long, ctypes.c_long,
-    ]
-    lib.geniex_tail.argtypes = [
-        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-        ctypes.c_void_p, ctypes.c_long, ctypes.c_long,
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_float, ctypes.c_void_p,
+        ctypes.c_void_p, ctypes.c_void_p,
+        ctypes.c_long, ctypes.c_long, ctypes.c_long, ctypes.c_long,
         ctypes.c_float, ctypes.c_float, ctypes.c_float, ctypes.c_double,
     ]
+    lib.geniex_currents.restype = ctypes.c_int
     lib.dequant_dots.argtypes = [
         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
         ctypes.c_long, ctypes.c_long, ctypes.c_int,
@@ -305,87 +434,85 @@ def available() -> bool:
     return _lib is not None
 
 
-def fused_bias_relu(block: np.ndarray, bias: np.ndarray, out: np.ndarray) -> bool:
-    """``out[i,c,h] = max(block[i,h] + bias[c,h], 0)`` in one pass.
+def ordered_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` summed in the fixed order of this module's docstring.
 
-    Returns False (without touching ``out``) when the compiled library
-    is unavailable or the layouts don't qualify — callers then run the
-    equivalent numpy ufunc pair.
+    Both operands must share a float32 or float64 dtype.  Row ``i`` of
+    the result is a pure function of ``a[i]`` and ``b`` — independent
+    of the batch, the BLAS build and the CPU.  Compiled when
+    available; otherwise the numpy k-loop, which gives the same bits.
     """
-    if not available():
-        return False
-    if not (
-        block.dtype == np.float32 and bias.dtype == np.float32
-        and out.dtype == np.float32
-        and block.flags.c_contiguous and bias.flags.c_contiguous
-        and out.flags.c_contiguous
-    ):
-        return False
-    n, hidden = block.shape
-    cols = bias.shape[0]
-    _lib.fused_bias_relu(
-        block.ctypes.data, bias.ctypes.data, out.ctypes.data, n, cols, hidden
-    )
-    return True
-
-
-def poly_backbone(
-    i_frac: np.ndarray, v_frac: np.ndarray, coef: np.ndarray
-) -> np.ndarray | None:
-    """The GENIEx polynomial backbone, or None to use the numpy path."""
-    if not available():
-        return None
-    if not (
-        i_frac.dtype == np.float32 and v_frac.dtype == np.float32
-        and coef.dtype == np.float64 and i_frac.ndim == 2
-        and v_frac.shape == (i_frac.shape[0], 1) and coef.size == 5
-        and i_frac.flags.c_contiguous and v_frac.flags.c_contiguous
-        and coef.flags.c_contiguous
-    ):
-        return None
-    out = np.empty(i_frac.shape, dtype=np.float64)
-    _lib.poly_backbone(
-        i_frac.ctypes.data, v_frac.ctypes.data, coef.ctypes.data,
-        out.ctypes.data, i_frac.shape[0], i_frac.shape[1],
-    )
+    a = np.ascontiguousarray(a)
+    b = np.ascontiguousarray(b)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ValueError(f"expected (n, k) @ (k, m) operands, got {a.shape} @ {b.shape}")
+    if a.dtype != b.dtype or a.dtype not in (np.float32, np.float64):
+        raise TypeError(f"operands must share float32/float64, got {a.dtype}, {b.dtype}")
+    (n, k), m = a.shape, b.shape[1]
+    out = np.empty((n, m), dtype=a.dtype)
+    if k == 0:
+        out.fill(0.0)
+    elif available():
+        kernel = _lib.ordered_gemm_f32 if a.dtype == np.float32 else _lib.ordered_gemm_f64
+        kernel(a.ctypes.data, b.ctypes.data, out.ctypes.data, n, k, m)
+    else:
+        np.multiply(a[:, :1], b[0], out=out)
+        step = np.empty_like(out)
+        for p in range(1, k):
+            np.multiply(a[:, p : p + 1], b[p], out=step)
+            out += step
     return out
 
 
-def geniex_tail(
-    ideal: np.ndarray,
-    deviation: np.ndarray,
+def geniex_currents(
+    volts: np.ndarray,
+    v_norm: np.ndarray,
     v_frac: np.ndarray,
+    conductances: np.ndarray,
+    w1v_t: np.ndarray,
+    bias_t: np.ndarray,
+    w2: np.ndarray,
+    b2: float,
     coef: np.ndarray,
     i_norm: float,
     target_std: float,
     target_mean: float,
 ) -> np.ndarray | None:
-    """The post-MLP GENIEx chain fused into one pass, or None.
+    """``GENIEx.predict_from_bias`` in one compiled pass, or None.
 
-    Equivalent to::
-
-        i_frac = ideal / np.float32(i_norm)
-        dev = deviation * target_std + target_mean + poly(i_frac, v_frac)
-        return ideal - dev * i_norm
+    Shapes: ``volts``/``v_norm`` (n, rows) float32, ``v_frac`` (n, 1)
+    float32, ``conductances`` (rows, cols), ``w1v_t`` (rows, hidden),
+    ``bias_t`` (hidden, cols), ``w2`` (hidden,) float32; ``coef`` the
+    five float64 backbone coefficients.  Returns (n, cols) float64
+    currents, or None when the library is unavailable or the operands
+    don't qualify — the caller then runs the numpy twin.
     """
     if not available():
         return None
+    f32 = np.float32
+    operands = (volts, v_norm, v_frac, conductances, w1v_t, bias_t, w2)
     if not (
-        ideal.dtype == np.float32 and deviation.dtype == np.float32
-        and v_frac.dtype == np.float32 and coef.dtype == np.float64
-        and ideal.ndim == 2 and deviation.shape == ideal.shape
-        and v_frac.shape == (ideal.shape[0], 1) and coef.size == 5
-        and ideal.flags.c_contiguous and deviation.flags.c_contiguous
-        and v_frac.flags.c_contiguous and coef.flags.c_contiguous
+        all(x.dtype == f32 and x.flags.c_contiguous for x in operands)
+        and coef.dtype == np.float64 and coef.flags.c_contiguous and coef.size == 5
+        and volts.ndim == 2 and bias_t.ndim == 2 and v_norm.shape == volts.shape
+        and v_frac.shape == (volts.shape[0], 1)
     ):
         return None
-    out = np.empty(ideal.shape, dtype=np.float64)
-    _lib.geniex_tail(
-        ideal.ctypes.data, deviation.ctypes.data, v_frac.ctypes.data,
-        coef.ctypes.data, out.ctypes.data, ideal.shape[0], ideal.shape[1],
-        i_norm, target_std, target_mean, i_norm,
+    n, rows = volts.shape
+    hidden, cols = bias_t.shape
+    if (
+        rows < 1 or hidden < 1 or conductances.shape != (rows, cols)
+        or w1v_t.shape != (rows, hidden) or w2.shape != (hidden,)
+    ):
+        return None
+    out = np.empty((n, cols), dtype=np.float64)
+    failed = _lib.geniex_currents(
+        volts.ctypes.data, v_norm.ctypes.data, conductances.ctypes.data,
+        w1v_t.ctypes.data, bias_t.ctypes.data, w2.ctypes.data, float(f32(b2)),
+        v_frac.ctypes.data, coef.ctypes.data, out.ctypes.data,
+        n, rows, cols, hidden, i_norm, target_std, target_mean, i_norm,
     )
-    return out
+    return None if failed else out
 
 
 def dequant_dots(

@@ -71,7 +71,10 @@ _DISABLED_VALUES = {"", "0", "off", "none", "disabled"}
 #: ignored (and rebuilt), never misread.
 #: Format 2: drift-aware snapshots — entries carry the chip's temporal
 #: coordinates (drift epoch + pulse count) and pristine tile arrays.
-SNAPSHOT_FORMAT = 2
+#: Format 3: GENIEx column biases summed in the fixed order of
+#: :mod:`repro.xbar._ckernels` (format 2 held BLAS-rounded biases)
+#: and stored (hidden, cols).
+SNAPSHOT_FORMAT = 3
 
 
 def resolve_disk_dir(override: "str | os.PathLike | None" = None) -> Path | None:

@@ -38,7 +38,6 @@ Factorized inference
 from __future__ import annotations
 
 import hashlib
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -53,7 +52,6 @@ from repro.nn.module import Sequential
 from repro.train.optim import Adam
 from repro.xbar.circuit import CircuitConfig, CrossbarCircuit
 from repro.xbar.device import DeviceConfig
-from repro.xbar.numerics import row_stable_matmul
 from repro.xbar.nf import non_ideality_factor, sample_crossbar_workload
 
 
@@ -80,7 +78,7 @@ class GENIExTrainConfig:
 class _BankHandle:
     """Prepared per-layer state for the factorized inference path."""
 
-    bias: np.ndarray  # (C, H) hidden-layer per-column constants
+    bias: np.ndarray  # (H, C) hidden-layer per-column constants
     conductances: np.ndarray  # (R, C) for the exact ideal term
 
 
@@ -131,19 +129,12 @@ class GENIEx:
         self.target_std = float(target_std)
         self.metrics = metrics or {}
         # Voltage half of the first layer vs. the conductance-plus-extras
-        # half (the latter folds into the precomputed column bias).
-        # Contiguous copies, not views: pickling materializes views as
-        # contiguous arrays, and strided vs. contiguous GEMM inputs can
-        # differ in the last bit — parent and pool workers must feed
-        # BLAS identically-laid-out operands to stay bit-identical.
-        self._w1v = np.ascontiguousarray(self.w1[:, :rows])  # (H, R)
-        self._w1g = np.ascontiguousarray(self.w1[:, rows:])  # (H, R + EXTRA)
+        # half (the latter folds into the precomputed column bias), both
+        # stored (inputs, hidden) as the right operand of an ordered
+        # product.
+        self._w1v_t = np.ascontiguousarray(self.w1[:, :rows].T)  # (R, H)
+        self._w1g_t = np.ascontiguousarray(self.w1[:, rows:].T)  # (R + EXTRA, H)
         self._i_norm = rows * device.g_max * device.v_read
-        # Hidden-layer evaluation strategy: "gemm" (default) reuses a
-        # float32 workspace across chunks; "legacy" is the original
-        # allocating path, kept as the benchmark baseline.  Both are
-        # bit-identical.
-        self.block_mode = "gemm"
 
     @property
     def cache_token(self) -> str:
@@ -199,11 +190,11 @@ class GENIEx:
         for prediction.
         """
         features = self.bias_feature_matrix(conductances, self.device)  # (C, R+E)
-        bias = features @ self._w1g.T + self.b1  # (C, H)
+        bias = _ckernels.ordered_matmul(features, self._w1g_t) + self.b1  # (C, H)
         used = conductances.shape[1] if used_cols is None else used_cols
         return _BankHandle(
-            bias=bias[:used].astype(np.float32),
-            conductances=np.asarray(conductances[:, :used], dtype=np.float32),
+            bias=np.ascontiguousarray(bias[:used].T),
+            conductances=np.ascontiguousarray(conductances[:, :used], dtype=np.float32),
         )
 
     def column_bias(self, conductances: np.ndarray) -> _BankHandle:
@@ -214,134 +205,69 @@ class GENIEx:
     def concat_bias(handles: list[_BankHandle]) -> _BankHandle:
         """Stack per-crossbar handles into one bank handle."""
         return _BankHandle(
-            bias=np.concatenate([h.bias for h in handles], axis=0),
+            bias=np.concatenate([h.bias for h in handles], axis=1),
             conductances=np.concatenate([h.conductances for h in handles], axis=1),
         )
 
     def poly_deviation(self, i_frac: np.ndarray, v_frac: np.ndarray) -> np.ndarray:
         """Polynomial-backbone deviation (normalized by i_norm)."""
         c = self.poly
-        if (
-            self.block_mode != "legacy"  # legacy reproduces the original path
-            and isinstance(i_frac, np.ndarray)
-            and isinstance(v_frac, np.ndarray)
-        ):
-            fused = _ckernels.poly_backbone(i_frac, v_frac, c)
-            if fused is not None:  # bit-identical single-pass C kernel
-                return fused
         return c[0] + c[1] * i_frac + c[2] * i_frac * i_frac + c[3] * v_frac + c[4] * i_frac * v_frac
 
     def predict_from_bias(
         self, voltages: np.ndarray, column_bias: _BankHandle, chunk: int = 8192
     ) -> np.ndarray:
-        """Currents for (B, R) voltages given a prepared bank handle."""
+        """Currents for (B, R) voltages given a prepared bank handle.
+
+        Every reduction runs in the fixed order documented in
+        :mod:`repro.xbar._ckernels`, so each output row is a pure
+        function of its voltage row — independent of the batch it rides
+        in, of the BLAS build and of the CPU.  The compiled kernel and
+        the numpy twin below give the same bits.  ``chunk`` bounds the
+        twin's row blocks; the compiled pass keeps only a 32-row
+        scratch of hidden drives.
+        """
         handle = column_bias
-        v32 = np.asarray(voltages, dtype=np.float32)
-        # The simulator's stacked/compacted fast paths require every
-        # row's currents to be a pure function of that row, so the two
-        # batch matmuls use the row-stable form (plain GEMM rounds the
-        # same row differently in different-size batches).
-        ideal = row_stable_matmul(v32, handle.conductances)  # exact digital term, (B, C)
+        v32 = np.ascontiguousarray(voltages, dtype=np.float32)
         v_norm = v32 / np.float32(self.device.v_read)
-        hv = row_stable_matmul(v_norm, self._w1v.T)  # (B, H)
-        deviation = np.empty((hv.shape[0], handle.bias.shape[0]), dtype=np.float32)
-        if self.block_mode == "legacy":
-            self._deviation_blocks_legacy(hv, handle.bias, deviation, chunk)
-        else:
-            self._deviation_blocks(hv, handle.bias, deviation, chunk)
         v_frac = v_norm.mean(axis=1, keepdims=True)
-        if self.block_mode != "legacy":  # legacy reproduces the original path
-            fused = _ckernels.geniex_tail(
-                ideal, deviation, v_frac, self.poly,
-                self._i_norm, self.target_std, self.target_mean,
-            )
-            if fused is not None:  # bit-identical single-pass C kernel
-                return fused
+        fused = _ckernels.geniex_currents(
+            v32, v_norm, v_frac, handle.conductances, self._w1v_t, handle.bias,
+            self.w2, self.b2, self.poly, self._i_norm, self.target_std, self.target_mean,
+        )
+        if fused is not None:
+            return fused
+        out = np.empty((v32.shape[0], handle.bias.shape[1]), dtype=np.float64)
+        # Row blocks keep the (block, C) temporaries cache-resident;
+        # rows are independent, so the step never changes a bit.
+        step = max(1, min(chunk, (1 << 15) // max(1, handle.bias.shape[1])))
+        for start in range(0, v32.shape[0], step):
+            rows = slice(start, start + step)
+            out[rows] = self._currents_numpy(v32[rows], v_norm[rows], v_frac[rows], handle)
+        return out
+
+    def _currents_numpy(
+        self, v32: np.ndarray, v_norm: np.ndarray, v_frac: np.ndarray, handle: _BankHandle
+    ) -> np.ndarray:
+        """Numpy twin of ``_ckernels.geniex_currents`` (same order, same bits)."""
+        ideal = _ckernels.ordered_matmul(v32, handle.conductances)  # exact digital term
+        hv = _ckernels.ordered_matmul(v_norm, self._w1v_t)  # (b, H)
+        bias = handle.bias  # (H, C)
+        deviation = np.empty(ideal.shape, dtype=np.float32)
+        pre = np.empty_like(deviation)
+        for h in range(bias.shape[0]):
+            np.add(hv[:, h : h + 1], bias[h], out=pre)
+            np.maximum(pre, 0.0, out=pre)
+            if h == 0:
+                np.multiply(pre, self.w2[0], out=deviation)
+            else:
+                np.multiply(pre, self.w2[h], out=pre)
+                deviation += pre
+        deviation += np.float32(self.b2)
         deviation = deviation * self.target_std + self.target_mean
         i_frac = (ideal / np.float32(self._i_norm)).astype(np.float32, copy=False)
         deviation = deviation + self.poly_deviation(i_frac, v_frac)
         return ideal - deviation * self._i_norm
-
-    def _deviation_blocks(
-        self, hv: np.ndarray, bias: np.ndarray, out: np.ndarray, chunk: int
-    ) -> None:
-        """Blocked hidden-layer evaluation with a reused f32 workspace.
-
-        Chunks the batch so the ``(block, C, H)`` pre-activation fits a
-        bounded float32 workspace that is reused across chunks (and
-        across calls) instead of reallocated per chunk; the broadcast
-        add, the ReLU and the output contraction all run in place, and
-        the contraction writes straight into the caller's deviation
-        buffer.  The contraction keeps the stacked-matmul kernel of the
-        legacy path on purpose: a BLAS GEMV over the reshaped 2-D view
-        differs in the last bit for some shapes, and the numerical
-        contract is exact equality.
-        """
-        n_cols, hidden = bias.shape
-        # Bound the (block, cols, hidden) workspace to ~512 KB so it
-        # stays L2-resident between the fused bias+ReLU write and the
-        # matmul that reads it back (measured ~15% end-to-end faster
-        # than a main-memory-sized block).  Row blocking never changes
-        # the per-row arithmetic, so any step size is bit-identical.
-        step = max(1, min(hv.shape[0], chunk, (1 << 17) // max(1, n_cols * hidden)))
-        ws = self._block_workspace(step * n_cols * hidden)
-        for start in range(0, hv.shape[0], step):
-            block = hv[start : start + step]  # (b, H)
-            b = block.shape[0]
-            pre = ws[: b * n_cols * hidden].reshape(b, n_cols, hidden)
-            if not _ckernels.fused_bias_relu(block, bias, pre):
-                np.add(block[:, None, :], bias[None, :, :], out=pre)
-                np.maximum(pre, 0.0, out=pre)
-            np.matmul(pre, self.w2, out=out[start : start + b])
-            out[start : start + b] += self.b2
-
-    def _deviation_blocks_legacy(
-        self, hv: np.ndarray, bias: np.ndarray, out: np.ndarray, chunk: int
-    ) -> None:
-        """Original allocating path, kept as the benchmark baseline."""
-        n_cols, hidden = bias.shape
-        # Bound the (block, cols, hidden) intermediate to ~64 MB.
-        step = max(1, min(hv.shape[0], chunk, (16 << 20) // max(1, n_cols * hidden)))
-        for start in range(0, hv.shape[0], step):
-            block = hv[start : start + step]  # (b, H)
-            pre = block[:, None, :] + bias[None, :, :]  # (b, C, H)
-            np.maximum(pre, 0.0, out=pre)
-            out[start : start + step] = pre @ self.w2 + self.b2
-
-    def __getstate__(self) -> dict:
-        """Pickle without scratch buffers.
-
-        Shipping a predictor to pool workers routes large arrays into
-        read-only shared memory; a pickled workspace would surface in
-        every worker as one *physically shared* buffer (fork preserves
-        the parent's thread ident, so the per-thread lookup hits it).
-        The numpy path then dies on the read-only flag — and the C
-        kernels, which write through raw pointers, would silently race
-        concurrent workers against each other's pre-activations.
-        """
-        state = self.__dict__.copy()
-        state.pop("_ws_bufs", None)
-        state.pop("_ws_buf", None)  # scratch attr of older pickles
-        return state
-
-    def _block_workspace(self, size: int) -> np.ndarray:
-        """Reusable flat float32 scratch for the blocked evaluation.
-
-        Keyed per thread (a plain dict, so the predictor stays
-        picklable for shared-memory shipping): one predictor instance
-        is shared by every engine a lab builds, and serving lanes
-        evaluate different tenants' engines concurrently — a single
-        buffer would let one lane scribble over another's
-        pre-activations mid-matmul.
-        """
-        workspaces = getattr(self, "_ws_bufs", None)
-        if workspaces is None:
-            workspaces = self._ws_bufs = {}
-        key = threading.get_ident()
-        buf = workspaces.get(key)
-        if buf is None or buf.size < size or not buf.flags.writeable:
-            buf = workspaces[key] = np.empty(size, dtype=np.float32)
-        return buf
 
     def predict(self, voltages: np.ndarray, conductances: np.ndarray) -> np.ndarray:
         """Non-ideal currents for (B, R) or (R,) voltages and (R, C) G."""

@@ -50,7 +50,6 @@ from repro.xbar.device import RRAMDevice
 from repro.xbar.drift import DriftModel
 from repro.xbar.engine_cache import EngineCache, resolve_cache
 from repro.xbar.faults import FaultModel, FaultSummary, TileHealthError
-from repro.xbar.numerics import row_stable_matmul
 from repro.xbar.perf import PerfCounters
 from repro.xbar.presets import CrossbarConfig, load_or_train_geniex
 from repro.xbar.quant import PlaneWorkspace, compute_scale, integer_mvm
@@ -122,7 +121,7 @@ class IdealPredictor:
     def prepare_crossbar(conductances: np.ndarray, used_cols: int | None = None) -> np.ndarray:
         g = np.asarray(conductances, dtype=np.float64)
         used = g.shape[1] if used_cols is None else used_cols
-        return g[:, :used]
+        return np.ascontiguousarray(g[:, :used])
 
     def column_bias(self, conductances: np.ndarray) -> np.ndarray:
         return self.prepare_crossbar(conductances)
@@ -133,11 +132,14 @@ class IdealPredictor:
 
     @staticmethod
     def predict_from_bias(voltages: np.ndarray, column_bias: np.ndarray, chunk: int = 8192) -> np.ndarray:
-        # The row-stable form makes the protocol's per-row contract
-        # actually hold: each output row is computed by an identical
-        # single-row BLAS call, so batching (and the engine's stream
-        # stacking / zero-row compaction) never changes a row's bits.
-        return row_stable_matmul(np.asarray(voltages), column_bias)
+        # The fixed-order float64 product makes the protocol's per-row
+        # contract hold by construction: each output row is summed in
+        # ascending row order whatever the batch, BLAS build or CPU, so
+        # batching (and the engine's stream stacking / zero-row
+        # compaction) never changes a row's bits.
+        return _ckernels.ordered_matmul(
+            np.asarray(voltages, dtype=np.float64), np.asarray(column_bias, dtype=np.float64)
+        )
 
 
 class CircuitPredictor:
@@ -868,9 +870,9 @@ class CrossbarEngine:
         All non-zero bit-streams of a bank are stacked along the batch
         axis into a single ``(T_active * N, rows)`` voltage matrix and
         evaluated in one ``predict_from_bias`` call.  Every backend
-        computes output rows independently (guaranteed by routing batch
-        matmuls through :func:`repro.xbar.numerics.row_stable_matmul` —
-        plain BLAS GEMM is *not* row-stable), the per-element transforms
+        computes output rows independently (guaranteed by the fixed-order
+        products of :mod:`repro.xbar._ckernels` — plain BLAS GEMM is
+        *not* row-stable), the per-element transforms
         (ADC quantization, dummy-column subtraction) apply identically
         to the stacked matrix, and the shift-and-add scalings are exact
         powers of two — so the result is bit-identical to the reference

@@ -134,8 +134,8 @@ class TestRowStability:
     BLAS GEMM breaks that silently — it picks different micro-kernels
     (different SIMD accumulation splits) depending on the row count —
     which is exactly the regression this guards against: large-batch
-    results drifted from single-row results by >1e5 ULP until the
-    matmuls moved to the row-stable stacked form.
+    results once drifted from single-row results by >1e5 ULP.  Every
+    reduction now runs in the fixed order of ``repro.xbar._ckernels``.
     """
 
     def test_rows_independent_of_batch_size(self, tiny_geniex, rng):
@@ -201,41 +201,36 @@ class TestRowStability:
                 np.testing.assert_array_equal(results[slot][i], want)
 
     def test_pickle_drops_scratch_buffers(self, tiny_geniex, rng):
-        """Shipping a predictor must never ship its workspace.
+        """A shipped predictor carries its parameters and nothing else.
 
         The shm model shipment turns large pickled arrays into
-        read-only views of one shared segment; a pickled scratch would
-        become a buffer *physically shared by every pool worker* (fork
-        preserves the parent's thread ident, so the per-thread lookup
-        hits it).  The numpy path then raises on the read-only flag and
-        the C kernels silently race concurrent workers — seen as
-        nondeterministic HIL-PGD results whenever two workers executed
-        simultaneously (e.g. speculative straggler twins)."""
+        read-only views of one shared segment, so anything mutable in
+        the pickle would become a buffer *physically shared by every
+        pool worker* — the race that once made HIL-PGD results
+        nondeterministic.  Evaluation keeps no scratch on the instance,
+        so the pickled state is exactly the trained parameters and
+        their derived operand layouts, and the clone predicts bit for
+        bit like the original."""
         import pickle
-        import threading
 
         device = tiny_geniex.device
         local = np.random.default_rng(7)
         g = device.g_min + local.integers(0, 4, size=(8, 8)) * device.g_step
         v = local.random((16, 8)) * device.v_read
         want = tiny_geniex.predict_from_bias(v, tiny_geniex.column_bias(g))
-        assert getattr(tiny_geniex, "_ws_bufs", None)  # scratch exists
 
-        state = pickle.dumps(tiny_geniex)
-        assert b"_ws_bufs" not in state and b"_ws_buf" not in state
-        clone = pickle.loads(state)
-        assert not getattr(clone, "_ws_bufs", None)
+        clone = pickle.loads(pickle.dumps(tiny_geniex))
+        assert set(vars(clone)) == {
+            "w1", "b1", "w2", "b2", "rows", "device", "poly",
+            "target_mean", "target_std", "metrics",
+            "_w1v_t", "_w1g_t", "_i_norm",
+        }
+        np.testing.assert_array_equal(clone._w1v_t, tiny_geniex.w1[:, :8].T)
+        np.testing.assert_array_equal(clone._w1g_t, tiny_geniex.w1[:, 8:].T)
+        for name in ("_w1v_t", "_w1g_t"):
+            # Read-only operands (as the shm shipment delivers them)
+            # must serve predictions unchanged.
+            getattr(clone, name).flags.writeable = False
         np.testing.assert_array_equal(
             clone.predict_from_bias(v, clone.column_bias(g)), want
         )
-
-        # Defense in depth: a workspace entry inherited read-only (the
-        # shm view an older pickle would resurrect) is replaced, not
-        # written through.
-        stale = np.zeros(1 << 20, dtype=np.float32)
-        stale.flags.writeable = False
-        clone._ws_bufs = {threading.get_ident(): stale}
-        np.testing.assert_array_equal(
-            clone.predict_from_bias(v, clone.column_bias(g)), want
-        )
-        assert clone._ws_bufs[threading.get_ident()].flags.writeable

@@ -4,8 +4,8 @@ The vectorized stacked-stream kernel must be *bit-identical* (exact
 float equality) to the reference per-stream kernel for every Table-I
 preset, every predictor backend, with and without guard fallback and
 fault injection — that is the numerical contract of the hot-path
-optimization.  Likewise the GENIEx blocked-GEMM evaluation must match
-its legacy allocating path bit for bit.
+optimization.  Likewise the fused GENIEx bank evaluation must match the
+scalar-loop reference of :mod:`repro.verify.oracle` bit for bit.
 """
 
 import os
@@ -132,18 +132,13 @@ class TestGoldenKernelEquality:
 class TestGENIExBlockModes:
     @pytest.mark.parametrize("preset", PRESETS)
     def test_gemm_matches_legacy_bitwise(self, preset):
+        """The fused fixed-order evaluation of every Table I surrogate
+        equals the scalar-loop ``naive_geniex_currents`` reference."""
+        from repro.verify.invariants import check_predictor_matches_naive
+
         config = crossbar_preset(preset)
         geniex = load_or_train_geniex(config)
-        weight, x = _weight_and_inputs(config, seed=5, signed=True)
-        engine = CrossbarEngine(weight, config, geniex, np.random.default_rng(11))
-        assert geniex.block_mode == "gemm"
-        out_gemm = engine.matvec(x)
-        geniex.block_mode = "legacy"
-        try:
-            out_legacy = engine.matvec(x)
-        finally:
-            geniex.block_mode = "gemm"
-        assert np.array_equal(out_gemm, out_legacy)
+        check_predictor_matches_naive(geniex, config, seed=5, batch=3)
 
     def test_small_chunks_bitwise(self, tiny_geniex, rng):
         """Forcing many tiny blocks must not change a single bit."""
@@ -222,9 +217,15 @@ class TestCompiledKernels:
         monkeypatch.setattr(_ckernels, "_tried", False)
         monkeypatch.setattr(_ckernels, "_lib", None)
         assert not _ckernels.available()
-        i_frac = np.zeros((2, 3), dtype=np.float32)
-        v_frac = np.zeros((2, 1), dtype=np.float32)
-        assert _ckernels.poly_backbone(i_frac, v_frac, np.zeros(5)) is None
+        v = np.zeros((2, 3), dtype=np.float32)
+        assert _ckernels.geniex_currents(
+            v, v, np.zeros((2, 1), dtype=np.float32), np.zeros((3, 4), dtype=np.float32),
+            np.zeros((3, 2), dtype=np.float32), np.zeros((2, 4), dtype=np.float32),
+            np.zeros(2, dtype=np.float32), 0.0, np.zeros(5), 1.0, 1.0, 0.0,
+        ) is None
+        # The ordered product still answers, through its numpy twin.
+        a = np.arange(6.0).reshape(2, 3)
+        assert np.array_equal(_ckernels.ordered_matmul(a, np.eye(3)), a)
 
     def test_dequant_dots_matches_numpy_chain(self, rng):
         from repro.xbar import _ckernels
@@ -258,24 +259,34 @@ class TestCompiledKernels:
             assert sick
 
     def test_geniex_tail_matches_numpy_chain(self, rng):
+        """The post-MLP tail inside the fused kernel follows the numpy
+        chain.  One input row with ``v = 1`` makes ``ideal = G`` and one
+        hidden unit with zero drive, ``w2 = 1``, ``b2 = 0`` makes the MLP
+        output ``relu(bias) = bias`` exactly, so the tail sees chosen
+        ``ideal`` / ``deviation`` values."""
         from repro.xbar import _ckernels
 
         if not _ckernels.available():
             pytest.skip("no C compiler in this environment")
-        ideal = rng.normal(0, 1e-3, size=(6, 5)).astype(np.float32)
-        deviation = rng.normal(0, 1, size=(6, 5)).astype(np.float32)
-        v_frac = rng.random((6, 1)).astype(np.float32)
+        ideal = rng.normal(0, 1e-3, size=(1, 5)).astype(np.float32)
+        deviation = np.abs(rng.normal(0, 1, size=(1, 5))).astype(np.float32)
         poly = rng.normal(0, 0.1, size=5)
         i_norm, std, mean = 0.02, 0.7, -0.05
-        dev = deviation * std + mean
-        i_frac = (ideal / np.float32(i_norm)).astype(np.float32, copy=False)
-        p = (
-            poly[0] + poly[1] * i_frac + poly[2] * i_frac * i_frac
-            + poly[3] * v_frac + poly[4] * i_frac * v_frac
-        )
-        expected = ideal - (dev + p) * i_norm
-        got = _ckernels.geniex_tail(ideal, deviation, v_frac, poly, i_norm, std, mean)
-        assert np.array_equal(expected, got)
+        for v_frac in (np.float32(0.0), np.float32(rng.random())):
+            one = np.ones((1, 1), dtype=np.float32)
+            got = _ckernels.geniex_currents(
+                one, one, np.full((1, 1), v_frac), ideal,
+                np.zeros((1, 1), dtype=np.float32), deviation, one[0], 0.0,
+                poly, i_norm, std, mean,
+            )
+            dev = deviation * std + mean
+            i_frac = (ideal / np.float32(i_norm)).astype(np.float32, copy=False)
+            p = (
+                poly[0] + poly[1] * i_frac + poly[2] * i_frac * i_frac
+                + poly[3] * v_frac + poly[4] * i_frac * v_frac
+            )
+            expected = ideal - (dev + p) * i_norm
+            assert np.array_equal(expected, got)
 
     def test_axpy_block_matches_numpy(self, rng):
         from repro.xbar import _ckernels
