@@ -1,16 +1,13 @@
 #!/usr/bin/env python
 """Hot-path performance benchmark: BENCH_14_hotpath.json.
 
-Times the analog MVM hot path before/after the stacked-stream rework:
+Times the analog MVM hot path:
 
-* micro-kernel — ``CrossbarEngine.matvec`` on one tiled layer, with the
-  reference per-stream kernel vs. the vectorized stacked-stream kernel
-  (bit-identical; only wall time differs);
-* end-to-end — a non-ideal ResNet-20 forward pass under the same two
-  configurations;
+* micro-kernel — ``CrossbarEngine.matvec`` on one tiled layer;
+* end-to-end — a non-ideal ResNet-20 forward pass;
 * engine cache — repeated ``convert_to_hardware`` with a cold vs. warm
   content-addressed cache, showing hits eliminate reprogramming;
-* a perf-counter snapshot of the vectorized end-to-end run.
+* a perf-counter snapshot of the end-to-end run.
 
 Scale is controlled by ``REPRO_BENCH_PROFILE`` (tiny | small | default;
 this script defaults to ``tiny`` so it stays a CI smoke step).  Results
@@ -35,7 +32,7 @@ from repro.autograd import Tensor, no_grad  # noqa: E402
 from repro.nn.resnet import resnet20  # noqa: E402
 from repro.obs.sink import runtime_stamp  # noqa: E402
 from repro.xbar.engine_cache import EngineCache, config_digest  # noqa: E402
-from repro.xbar.perf import iter_engines, perf_report, reset_perf  # noqa: E402
+from repro.xbar.perf import perf_report, reset_perf  # noqa: E402
 from repro.xbar.presets import crossbar_preset, load_or_train_geniex  # noqa: E402
 from repro.xbar.simulator import CrossbarEngine, convert_to_hardware  # noqa: E402
 
@@ -63,26 +60,14 @@ def best_of(fn, repeats: int) -> float:
     return min(times)
 
 
-def set_kernel(engines, kernel: str) -> None:
-    for engine in engines:
-        engine.kernel = kernel
-
-
 def bench_micro_matvec(config, geniex, batch: int, repeats: int) -> dict:
     rng = np.random.default_rng(0)
     weight = rng.normal(0, 0.3, size=(32, 72)).astype(np.float32)
     engine = CrossbarEngine(weight, config, geniex, np.random.default_rng(1))
     x = rng.random((batch, 72)).astype(np.float32)
-
-    set_kernel([engine], "reference")
-    before = best_of(lambda: engine.matvec(x), repeats)
-    set_kernel([engine], "vectorized")
-    after = best_of(lambda: engine.matvec(x), repeats)
     return {
         "shape": {"weight": [32, 72], "batch": batch},
-        "reference_seconds": before,
-        "vectorized_seconds": after,
-        "speedup": before / after if after > 0 else float("inf"),
+        "seconds": best_of(lambda: engine.matvec(x), repeats),
     }
 
 
@@ -93,22 +78,16 @@ def bench_resnet_forward(config, geniex, batch: int, repeats: int) -> dict:
         model, config, predictor=geniex, rng=np.random.default_rng(2),
         engine_cache=False,
     )
-    engines = [engine for _name, engine in iter_engines(hardware)]
     x = Tensor(np.random.default_rng(0).random((batch, 3, 16, 16)).astype(np.float32))
 
     with no_grad():
-        set_kernel(engines, "reference")
-        before = best_of(lambda: hardware(x), repeats)
-        set_kernel(engines, "vectorized")
         reset_perf(hardware)
-        after = best_of(lambda: hardware(x), repeats)
+        seconds = best_of(lambda: hardware(x), repeats)
     report = perf_report(hardware)
     return {
         "model": "resnet20-w8",
         "input": [batch, 3, 16, 16],
-        "reference_seconds": before,
-        "vectorized_seconds": after,
-        "speedup": before / after if after > 0 else float("inf"),
+        "seconds": seconds,
         "perf_counters": report.total.as_dict(),
         "layers": len(report.layers),
     }
@@ -150,15 +129,9 @@ def main() -> int:
 
     print(f"[bench_perf] profile={profile} preset={PRESET}")
     micro = bench_micro_matvec(config, geniex, matvec_batch, repeats)
-    print(
-        f"[bench_perf] micro matvec: {micro['reference_seconds'] * 1e3:.1f} ms -> "
-        f"{micro['vectorized_seconds'] * 1e3:.1f} ms  ({micro['speedup']:.2f}x)"
-    )
+    print(f"[bench_perf] micro matvec: {micro['seconds'] * 1e3:.1f} ms")
     e2e = bench_resnet_forward(config, geniex, resnet_batch, repeats)
-    print(
-        f"[bench_perf] resnet20 forward: {e2e['reference_seconds']:.2f} s -> "
-        f"{e2e['vectorized_seconds']:.2f} s  ({e2e['speedup']:.2f}x)"
-    )
+    print(f"[bench_perf] resnet20 forward: {e2e['seconds']:.3f} s")
     cache = bench_engine_cache(config, geniex)
     print(
         f"[bench_perf] convert_to_hardware: cold {cache['cold_convert_seconds']:.2f} s, "
@@ -175,6 +148,7 @@ def main() -> int:
             "bench": "hotpath",
             "profile": profile,
             "preset": PRESET,
+            "cpu_count": os.cpu_count(),
             "config_digest": config_digest(config),
             "seeds": {"micro": [0, 1], "resnet": [0, 2], "cache": [3]},
         }

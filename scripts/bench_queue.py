@@ -1,20 +1,20 @@
 #!/usr/bin/env python
-"""Work-stealing queue benchmark: BENCH_20_queue.json.
+"""FIFO work-queue benchmark: BENCH_20_queue.json.
 
 Proves the three claims the scheduler makes, with in-script gates:
 
 * **bit-identity** — ``predict_logits`` of a non-ideal model is bitwise
   identical under serial execution and the queue at 1, 2 and 3 workers
-  (any policy; the merge is keyed by canonical micro-shard index);
+  (the merge is keyed by canonical micro-shard index);
 * **skew flattening** — on a 10×-skewed synthetic shard-cost
   distribution (three 10-unit shards hiding at the head of nine
-  1-unit shards) the adaptive work-stealing policy lands within 1.3×
-  of the balanced-bound makespan at 3 workers, where the static
-  contiguous partition serializes the heavy block (~2.4× bound);
-* **low overhead** — on a uniform distribution the adaptive policy
-  costs <5% over the static partition plan (its grouping converges to
-  the same placement, so the deques and EWMA bookkeeping are the only
-  extra work).
+  1-unit shards) submit-all FIFO dispatch lands within 1.3× of the
+  balanced-bound makespan at 3 workers, where a static contiguous
+  partition (computed analytically from the cost list) serializes the
+  heavy block (~2.4× bound);
+* **low overhead** — on a uniform distribution FIFO dispatch (one pool
+  task per shard) costs <5% over a measured static plan: ``workers``
+  tasks, each sleeping the sum of its contiguous block.
 
 The synthetic shard fn *sleeps* rather than computes, so wall times
 measure scheduling even on a 1-core container; ``cpu_count`` is still
@@ -39,12 +39,7 @@ import numpy as np  # noqa: E402
 from repro.attacks.base import predict_logits  # noqa: E402
 from repro.nn.resnet import build_model  # noqa: E402
 from repro.obs.sink import runtime_stamp  # noqa: E402
-from repro.parallel import (  # noqa: E402
-    ProcessBackend,
-    QueuePolicy,
-    ShardTask,
-    parallel_backend,
-)
+from repro.parallel import ProcessBackend, ShardTask, parallel_backend  # noqa: E402
 from repro.xbar.presets import crossbar_preset  # noqa: E402
 from repro.xbar.simulator import convert_to_hardware  # noqa: E402
 
@@ -61,15 +56,28 @@ PROFILES = {
 #: contiguous partition — all three heavies land in worker 0's block).
 SKEW_UNITS = [10.0, 10.0, 10.0] + [1.0] * 9
 SKEW_WORKERS = 3
+UNIFORM_SHARDS = 12
+UNIFORM_WORKERS = 2
 
 #: Gates (asserted below; the bench exits non-zero when they fail).
-ADAPTIVE_BOUND_FACTOR = 1.3
+FIFO_BOUND_FACTOR = 1.3
 PARTITION_BOUND_FACTOR = 1.8  # the skew must actually bite the baseline
 UNIFORM_OVERHEAD = 0.05
 
 
 def profile_name() -> str:
     return os.environ.get("REPRO_BENCH_PROFILE", "tiny")
+
+
+def static_blocks(costs: list[float], workers: int) -> list[list[float]]:
+    """The static plan: balanced contiguous blocks, one per worker."""
+    base, extra = divmod(len(costs), workers)
+    blocks, start = [], 0
+    for w in range(workers):
+        stop = start + base + (1 if w < extra else 0)
+        blocks.append(costs[start:stop])
+        start = stop
+    return blocks
 
 
 def synthetic_tasks(costs_ms: list[float]) -> list[ShardTask]:
@@ -80,37 +88,33 @@ def synthetic_tasks(costs_ms: list[float]) -> list[ShardTask]:
 
 
 def timed_map(backend: ProcessBackend, costs_ms: list[float], repeats: int):
-    """Best-of-N wall time for one synthetic map; verifies the merge."""
+    """Best-of-N wall time for one synthetic map; verifies the merge.
+
+    Returns ``(seconds, pool tasks per map)``.
+    """
     expected = [
         {"index": i, "value": (i * 0x9E3779B1) & 0xFFFFFFFF}
         for i in range(len(costs_ms))
     ]
     best = float("inf")
+    tasks_before = backend.queue.stats.tasks
     for _ in range(repeats):
         tasks = synthetic_tasks(costs_ms)
         start = time.perf_counter()
         results = backend.run_tasks(None, tasks)
         best = min(best, time.perf_counter() - start)
         assert results == expected, "queue merge diverged from serial map"
-    return best, dict(backend.queue.last)
+    return best, (backend.queue.stats.tasks - tasks_before) // repeats
 
 
-def bench_policy(mode: str, costs_ms, workers: int, repeats: int) -> dict:
-    policy = QueuePolicy(mode=mode) if mode != "adaptive" else QueuePolicy(
-        mode="adaptive", target_task_ms=30.0, max_group=2
-    )
-    backend = ProcessBackend(workers, policy=policy)
+def bench_map(costs_ms: list[float], workers: int, repeats: int) -> dict:
+    backend = ProcessBackend(workers)
     try:
         timed_map(backend, [1.0] * workers, 1)  # fork + warm the pool
-        seconds, last = timed_map(backend, costs_ms, repeats)
+        seconds, tasks = timed_map(backend, costs_ms, repeats)
     finally:
         backend.close()
-    return {
-        "seconds": seconds,
-        "tasks": last["tasks"],
-        "steals": last["steals"],
-        "resubmits": last["resubmits"],
-    }
+    return {"seconds": seconds, "tasks": tasks, "shards": len(costs_ms)}
 
 
 def bench_identity(eval_size: int) -> dict:
@@ -155,28 +159,38 @@ def main() -> int:
     # --- skew arm -----------------------------------------------------
     skew_costs = [u * unit_ms for u in SKEW_UNITS]
     bound_s = sum(skew_costs) / SKEW_WORKERS / 1e3
-    skew = {}
-    for mode in ("adaptive", "partition", "fifo"):
-        skew[mode] = bench_policy(mode, skew_costs, SKEW_WORKERS, repeats)
-        skew[mode]["vs_bound"] = skew[mode]["seconds"] / bound_s
-        print(
-            f"[bench_queue] skew/{mode}: {skew[mode]['seconds']*1e3:.0f} ms "
-            f"({skew[mode]['vs_bound']:.2f}x bound, "
-            f"tasks={skew[mode]['tasks']} steals={skew[mode]['steals']})"
-        )
-    skew["balanced_bound_seconds"] = bound_s
+    fifo = bench_map(skew_costs, SKEW_WORKERS, repeats)
+    fifo["vs_bound"] = fifo["seconds"] / bound_s
+    partition_s = max(sum(b) for b in static_blocks(skew_costs, SKEW_WORKERS)) / 1e3
+    skew = {
+        "fifo": fifo,
+        "partition_analytic": {
+            "seconds": partition_s,
+            "vs_bound": partition_s / bound_s,
+        },
+        "balanced_bound_seconds": bound_s,
+    }
+    print(
+        f"[bench_queue] skew/fifo: {fifo['seconds']*1e3:.0f} ms "
+        f"({fifo['vs_bound']:.2f}x bound, "
+        f"tasks={fifo['tasks']} shards={fifo['shards']})"
+    )
+    print(
+        f"[bench_queue] skew/partition (analytic): {partition_s*1e3:.0f} ms "
+        f"({skew['partition_analytic']['vs_bound']:.2f}x bound)"
+    )
 
     # --- uniform arm --------------------------------------------------
-    uniform_costs = [uniform_ms] * 12
-    uniform = {}
-    for mode in ("adaptive", "partition"):
-        uniform[mode] = bench_policy(mode, uniform_costs, 2, repeats)
-        print(
-            f"[bench_queue] uniform/{mode}: "
-            f"{uniform[mode]['seconds']*1e3:.0f} ms"
-        )
-    overhead = uniform["adaptive"]["seconds"] / uniform["partition"]["seconds"] - 1.0
-    uniform["adaptive_overhead"] = overhead
+    uniform_costs = [uniform_ms] * UNIFORM_SHARDS
+    static_costs = [sum(b) for b in static_blocks(uniform_costs, UNIFORM_WORKERS)]
+    uniform = {
+        "fifo": bench_map(uniform_costs, UNIFORM_WORKERS, repeats),
+        "static": bench_map(static_costs, UNIFORM_WORKERS, repeats),
+    }
+    for name, arm in uniform.items():
+        print(f"[bench_queue] uniform/{name}: {arm['seconds']*1e3:.0f} ms")
+    overhead = uniform["fifo"]["seconds"] / uniform["static"]["seconds"] - 1.0
+    uniform["fifo_overhead"] = overhead
     print(f"[bench_queue] uniform overhead: {overhead*100:.1f}%")
 
     # --- identity arm -------------------------------------------------
@@ -184,15 +198,15 @@ def main() -> int:
 
     # --- gates --------------------------------------------------------
     failures = []
-    if skew["adaptive"]["vs_bound"] > ADAPTIVE_BOUND_FACTOR:
+    if fifo["vs_bound"] > FIFO_BOUND_FACTOR:
         failures.append(
-            f"adaptive skew makespan {skew['adaptive']['vs_bound']:.2f}x bound "
-            f"(gate {ADAPTIVE_BOUND_FACTOR}x)"
+            f"fifo skew makespan {fifo['vs_bound']:.2f}x bound "
+            f"(gate {FIFO_BOUND_FACTOR}x)"
         )
-    if skew["partition"]["vs_bound"] < PARTITION_BOUND_FACTOR:
+    if skew["partition_analytic"]["vs_bound"] < PARTITION_BOUND_FACTOR:
         failures.append(
-            f"static partition only {skew['partition']['vs_bound']:.2f}x bound — "
-            f"the skew arm is not skewed enough to measure stealing"
+            f"static partition only {skew['partition_analytic']['vs_bound']:.2f}x "
+            f"bound — the skew arm is not skewed enough to measure scheduling"
         )
     if overhead > UNIFORM_OVERHEAD:
         failures.append(f"uniform overhead {overhead*100:.1f}% (gate 5%)")
@@ -208,7 +222,7 @@ def main() -> int:
             "preset": PRESET,
             "cpu_count": cpu_count,
             "gates": {
-                "adaptive_bound_factor": ADAPTIVE_BOUND_FACTOR,
+                "fifo_bound_factor": FIFO_BOUND_FACTOR,
                 "partition_bound_factor": PARTITION_BOUND_FACTOR,
                 "uniform_overhead": UNIFORM_OVERHEAD,
                 "passed": not failures,

@@ -88,18 +88,19 @@ python -m pytest -x -q -m serve
 python -m repro obs tail artifacts/runs/ci-serve --no-follow > /dev/null
 
 echo
-echo "=== queue smoke: work-stealing scheduler + multi-lane serving ==="
-# Scheduler battery (merge order-independence property, policy unit
-# tests, real-model identity across policies), then the bench gates:
-# steal-flattened skew makespan <= 1.3x the balanced bound, <5%
-# uniform overhead, and 1/2/3-worker logit identity.  The bench must
-# show actual steals or the skew arm measured nothing.
+echo "=== queue smoke: FIFO work queue + multi-lane serving ==="
+# Scheduler battery (merge order-independence property, submit-all
+# dispatch, real-model identity), then the bench gates: FIFO skew
+# makespan <= 1.3x the balanced bound (the analytic static partition
+# must sit >= 1.8x), <5% uniform overhead over a measured static plan,
+# and 1/2/3-worker logit identity.  The skew arm must have run one pool
+# task per shard, or it measured a grouped schedule instead.
 python -m pytest -x -q -m queue
 REPRO_BENCH_PROFILE=tiny python scripts/bench_queue.py \
     | tee artifacts/runs/ci-queue-bench-stdout.txt
-grep -E "skew/adaptive: .*steals=[1-9]" \
+grep -E "skew/fifo: .*tasks=([0-9]+) shards=\1\)" \
     artifacts/runs/ci-queue-bench-stdout.txt \
-    > /dev/null || { echo "ci: queue bench never stole work"; exit 1; }
+    > /dev/null || { echo "ci: queue bench did not dispatch one task per shard"; exit 1; }
 # A 2-lane traced demo: responses stay bit-identical to serial
 # inference and every serve_batch event carries its lane.
 python -m repro serve --fast --demo 4 --clients 3 --lanes 2 \

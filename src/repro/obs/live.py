@@ -35,12 +35,38 @@ import re
 import threading
 from collections import deque
 
-#: Bucket-combine operators per series kind.
+#: Bucket-combine operators per series kind.  ``sum`` buckets are not
+#: folded here: float addition is not associative, so they keep exact
+#: partials instead (see :func:`_add_exact`).
 _COMBINE = {
-    "sum": lambda a, b: a + b,
+    "sum": None,
     "max": max,
     "min": min,
 }
+
+
+def _add_exact(partials: list, x: float) -> list:
+    """Partials whose exact sum is ``sum(partials) + x`` (Shewchuk).
+
+    The partials are non-overlapping floats, so ``math.fsum`` of them is
+    the correctly rounded total of every value ever added — the same
+    float for any order or grouping of the additions.  A non-finite
+    total collapses to one float: ``inf``/``nan`` absorb every finite
+    term, so plain addition is already order-free there.
+    """
+    out = []
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            out.append(lo)
+        x = hi
+    if not math.isfinite(x):
+        return [x]
+    out.append(x)
+    return out
 
 
 class RingBuffer:
@@ -50,6 +76,9 @@ class RingBuffer:
     is the bucket width.  Values recorded into the same bucket combine
     with the ``kind`` operator, so a buffer never grows with traffic —
     only with elapsed time, and then only up to ``capacity`` buckets.
+
+    A point is ``[t, value]``; a ``sum`` point is ``[t, value, partials]``
+    where ``value == math.fsum(partials)`` is the exact bucket total.
     """
 
     __slots__ = ("kind", "capacity", "resolution_s", "_points")
@@ -84,28 +113,41 @@ class RingBuffer:
         """
         value = float(value)
         bucket = self._bucket(t)
-        combine = _COMBINE[self.kind]
         points = self._points
         if points and bucket <= points[-1][0]:
             for point in reversed(points):
                 if point[0] == bucket:
-                    point[1] = combine(point[1], value)
+                    self._fold(point, value, [value])
                     return
                 if point[0] < bucket:
                     break
             if points[0][0] < bucket:  # in-window gap: insert in order
-                items = sorted([*points, [bucket, value]])
+                items = sorted([*points, self._new_point(bucket, value, [value])])
                 points.clear()
                 points.extend(items)
             return
-        points.append([bucket, value])
+        points.append(self._new_point(bucket, value, [value]))
+
+    def _new_point(self, t: float, value: float, partials: list) -> list:
+        if self.kind == "sum":
+            return [t, math.fsum(partials), list(partials)]
+        return [t, value]
+
+    def _fold(self, point: list, value: float, partials: list) -> None:
+        """Combine one observation (or a merged bucket) into ``point``."""
+        if self.kind == "sum":
+            for x in partials:
+                point[2] = _add_exact(point[2], x)
+            point[1] = math.fsum(point[2])
+        else:
+            point[1] = _COMBINE[self.kind](point[1], value)
 
     # ------------------------------------------------------------------
     def points(self) -> list[tuple[float, float]]:
-        return [(t, v) for t, v in self._points]
+        return [(p[0], p[1]) for p in self._points]
 
     def values(self) -> list[float]:
-        return [v for _t, v in self._points]
+        return [p[1] for p in self._points]
 
     def last(self) -> float:
         return self._points[-1][1] if self._points else float("nan")
@@ -113,7 +155,7 @@ class RingBuffer:
     def window(self, now: float, seconds: float) -> list[float]:
         """Values of buckets younger than ``seconds`` (inclusive)."""
         cutoff = self._bucket(now) - seconds
-        return [v for t, v in self._points if t >= cutoff]
+        return [p[1] for p in self._points if p[0] >= cutoff]
 
     def rate_per_s(self, now: float, seconds: float) -> float:
         """Windowed rate for ``sum`` series (events per second)."""
@@ -128,7 +170,10 @@ class RingBuffer:
             "kind": self.kind,
             "capacity": self.capacity,
             "resolution_s": self.resolution_s,
-            "points": [[t, v] for t, v in self._points],
+            "points": [
+                [p[0], p[1], list(p[2])] if len(p) > 2 else [p[0], p[1]]
+                for p in self._points
+            ],
         }
 
     @classmethod
@@ -138,8 +183,10 @@ class RingBuffer:
             capacity=int(state["capacity"]),
             resolution_s=float(state["resolution_s"]),
         )
-        for t, v in state["points"]:
-            buf._points.append([float(t), float(v)])
+        for entry in state["points"]:
+            t, v = float(entry[0]), float(entry[1])
+            partials = [float(x) for x in entry[2]] if len(entry) > 2 else [v]
+            buf._points.append(buf._new_point(t, v, partials))
         return buf
 
     def merge(self, state: dict) -> None:
@@ -150,22 +197,25 @@ class RingBuffer:
         recorded points, so merge order across workers cannot change
         the result.
         """
-        combine = _COMBINE[self.kind]
-        merged: dict[float, float] = {t: v for t, v in self._points}
-        for t, v in state["points"]:
-            t, v = float(t), float(v)
-            merged[t] = combine(merged[t], v) if t in merged else v
+        merged: dict[float, list] = {p[0]: p for p in self._points}
+        for entry in state["points"]:
+            t, v = float(entry[0]), float(entry[1])
+            partials = [float(x) for x in entry[2]] if len(entry) > 2 else [v]
+            if t in merged:
+                self._fold(merged[t], v, partials)
+            else:
+                merged[t] = self._new_point(t, v, partials)
         self._points.clear()
         for t in sorted(merged)[-self.capacity :]:
-            self._points.append([t, merged[t]])
+            self._points.append(merged[t])
 
 
 class TimeSeriesStore:
     """Name-addressed ring buffers with a lossless merge path.
 
     Recording is guarded by one store-level lock: the serving layer's
-    inference lanes and the work-stealing queue publish series from
-    several threads, and a ring bucket fold is a multi-step mutation.
+    inference lanes publish series from several threads, and a ring
+    bucket fold is a multi-step mutation.
     """
 
     def __init__(self, capacity: int = 240, resolution_s: float = 1.0):

@@ -35,7 +35,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.parallel import shm
-from repro.parallel.queue import QueuePolicy, WorkQueue
+from repro.parallel.queue import WorkQueue
 
 logger = logging.getLogger(__name__)
 
@@ -157,7 +157,7 @@ def _merge_blob(model, blob: dict) -> None:
 class ProcessBackend(ExecutionBackend):
     """Persistent process pool over shared-memory model snapshots."""
 
-    def __init__(self, workers: int, policy: "QueuePolicy | None" = None):
+    def __init__(self, workers: int):
         if workers < 2:
             raise ValueError(f"ProcessBackend needs >= 2 workers, got {workers}")
         self.workers = workers
@@ -168,10 +168,9 @@ class ProcessBackend(ExecutionBackend):
         # emptied by invalidate()/close().
         self._handles: dict[int, tuple[object, shm.SharedHandle]] = {}
         self._broken = False
-        #: The scheduler.  Persistent with the backend, so its per-fn
-        #: latency EWMA survives across maps (warm pools live for the
-        #: whole process — see ``_POOLED``).
-        self.queue = WorkQueue(workers, policy=policy)
+        #: The scheduler; its counters live as long as the backend (warm
+        #: pools live for the whole process — see ``_POOLED``).
+        self.queue = WorkQueue(workers)
         # Serving lanes call run_tasks from multiple threads: pool/share
         # setup and telemetry merging need mutual exclusion (the P²
         # histogram replay in _merge_blob is stateful).
@@ -275,10 +274,10 @@ class ProcessBackend(ExecutionBackend):
                 handle = self._share_model(model) if model is not None else None
                 pool = self._ensure_pool()
 
-            def submit(indices):
-                group = [(tasks[i].fn, tasks[i].payload) for i in indices]
+            def submit(index):
+                task = tasks[index]
                 return pool.submit(
-                    worker.remote_execute_many, handle, group, capture
+                    worker.remote_execute, handle, task.fn, task.payload, capture
                 )
 
             outcomes = self.queue.run(submit, tasks)
@@ -294,25 +293,15 @@ class ProcessBackend(ExecutionBackend):
                 raise serial_exc from exc
         results = []
         with self._merge_lock:
+            self.queue.stats.record(len(tasks))
             for result, blob in outcomes:  # merged strictly in shard order
                 _merge_blob(model, blob)
                 results.append(result)
         if capture:
-            summary = self.queue.last
             _runtime.event(
                 "parallel_map",
                 fn=tasks[0].fn,
                 shards=len(tasks),
-                workers=self.workers,
-            )
-            _runtime.event(
-                "queue_map",
-                fn=tasks[0].fn,
-                items=len(tasks),
-                tasks=summary.get("tasks", 0),
-                steals=summary.get("steals", 0),
-                resubmits=summary.get("resubmits", 0),
-                mode=self.queue.policy.mode,
                 workers=self.workers,
             )
         return results

@@ -1,104 +1,22 @@
-"""Work-stealing task queue with adaptive shard grouping.
+"""Submit-all FIFO dispatch of canonical micro-shards.
 
-:class:`WorkQueue` is the scheduling engine behind
+:class:`WorkQueue` is the scheduler behind
 :class:`~repro.parallel.backend.ProcessBackend`.  It keeps the
-determinism contract of :mod:`repro.parallel.scheduler` — the canonical
-``plan_shards`` micro-shards stay the unit of computation, each executed
-by exactly the same calls a serial run makes — and layers scheduling
-*freedom* on top: micro-shards are grouped into pool tasks whose size
-adapts to an observed per-item latency EWMA, idle workers steal from the
-richest peer's deque, and stragglers are speculatively resubmitted.
-None of that can change a result because outcomes are keyed by
-micro-shard index and merged in index order; grouping, stealing and
-completion order only decide *where and when* a shard runs, never *what*
-it computes.  The duplicate outcome of a speculatively resubmitted group
-is discarded wholesale (results *and* telemetry blob), so every index
-contributes exactly once — bitwise identical to serial for any worker
-count and any steal/completion order.
-
-Scheduling policies
--------------------
-``adaptive``
-    Per-slot deques seeded with a balanced contiguous partition; group
-    size targets ``target_task_ms`` using the per-fn EWMA of observed
-    per-item cost (persisted across maps on the warm backend); owners
-    pop from the front of their deque, thieves steal roughly half from
-    the back of the richest victim; inflight groups older than
-    ``straggler_factor``× their cost estimate are resubmitted once to
-    an idle slot, first completion wins.
-``fifo``
-    The legacy dispatch: every micro-shard is its own pool task, pulled
-    in plan order from one shared queue.  No stealing, no stragglers.
-``partition``
-    The fixed ``(n, shard_size)`` plan as a policy: each worker gets one
-    contiguous block as a single task.  This is what a static shard plan
-    schedules like — the baseline the bench's skew arm measures against.
-
-A lightweight futures facade (:class:`TaskQueue`) exposes
-``submit``/``gather`` over the installed backend for workloads that
-accumulate heterogeneous tasks (defense training, architecture search)
-instead of mapping one homogeneous list.
+determinism contract of :mod:`repro.parallel.scheduler`: the canonical
+``plan_shards`` micro-shards are the unit of computation, each executed
+by exactly the same calls a serial run makes.  Every micro-shard becomes
+one pool task, and all of them are submitted at once, in plan order, to
+the executor's single shared queue.  An idle worker simply takes the
+next queued shard; with one shared queue that is all the work stealing
+skewed shard costs need.  Outcomes are read back future by future in
+index order, so completion order decides only *when* a shard runs,
+never *what* is merged — bitwise identical to serial for any worker
+count.
 """
 
 from __future__ import annotations
 
-import math
-import os
-import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, wait
-from dataclasses import dataclass, field
-
-#: Poll interval while idle slots wait for a straggler threshold to
-#: trip (adaptive mode only; otherwise waits block until completion).
-_STRAGGLER_POLL_S = 0.05
-
-_POLICY_MODES = ("adaptive", "fifo", "partition")
-
-
-@dataclass(frozen=True)
-class QueuePolicy:
-    """Tuning knobs for :class:`WorkQueue` (all scheduling-only)."""
-
-    mode: str = "adaptive"
-    #: Target wall time per dispatched group; group size is
-    #: ``target_task_ms / ewma_item_ms`` clamped to the bounds below.
-    target_task_ms: float = 120.0
-    min_group: int = 1
-    max_group: int = 64
-    #: First-map group sizing (no EWMA yet): aim for this many groups
-    #: per worker so stealing has granularity to work with.
-    oversubscribe: int = 4
-    #: Smoothing factor for the per-item latency EWMA.
-    ewma_alpha: float = 0.25
-    #: An inflight group is a straggler once it is this many times
-    #: older than its EWMA cost estimate (and past the floor below).
-    straggler_factor: float = 4.0
-    straggler_min_ms: float = 250.0
-
-    def __post_init__(self):
-        if self.mode not in _POLICY_MODES:
-            raise ValueError(
-                f"mode must be one of {_POLICY_MODES}, got {self.mode!r}"
-            )
-        if self.min_group < 1 or self.max_group < self.min_group:
-            raise ValueError(
-                f"need 1 <= min_group <= max_group, got "
-                f"({self.min_group}, {self.max_group})"
-            )
-
-
-def policy_from_env() -> QueuePolicy:
-    """Default policy, overridable via ``REPRO_QUEUE_POLICY``.
-
-    The variable names a mode (``adaptive`` / ``fifo`` / ``partition``);
-    anything else raises so CI never silently benchmarks the wrong
-    scheduler.
-    """
-    mode = os.environ.get("REPRO_QUEUE_POLICY", "").strip().lower()
-    if not mode:
-        return QueuePolicy()
-    return QueuePolicy(mode=mode)
+from dataclasses import dataclass
 
 
 @dataclass
@@ -108,387 +26,40 @@ class QueueStats:
     maps: int = 0
     tasks: int = 0
     items: int = 0
-    steals: int = 0
-    resubmits: int = 0
-    #: Outcomes discarded because the speculative twin finished first.
-    duplicates: int = 0
-    ewma_ms: dict = field(default_factory=dict)
+
+    def record(self, shards: int) -> None:
+        """Count one map of ``shards`` micro-shards (one task each)."""
+        self.maps += 1
+        self.tasks += shards
+        self.items += shards
 
     def as_dict(self) -> dict:
-        return {
-            "maps": self.maps,
-            "tasks": self.tasks,
-            "items": self.items,
-            "steals": self.steals,
-            "resubmits": self.resubmits,
-            "duplicates": self.duplicates,
-            "ewma_ms": {k: round(v, 4) for k, v in self.ewma_ms.items()},
-        }
-
-
-@dataclass
-class _Inflight:
-    slot: int
-    indices: list
-    started: float
-    speculative: bool = False
-
-
-def partition_blocks(n: int, parts: int) -> list[tuple[int, int]]:
-    """Balanced contiguous ``[start, stop)`` blocks covering ``range(n)``.
-
-    Block sizes differ by at most one; empty blocks are kept so block
-    ``p`` always belongs to slot ``p``.
-    """
-    if parts < 1:
-        raise ValueError(f"parts must be >= 1, got {parts}")
-    base, extra = divmod(max(n, 0), parts)
-    blocks, start = [], 0
-    for p in range(parts):
-        size = base + (1 if p < extra else 0)
-        blocks.append((start, start + size))
-        start += size
-    return blocks
+        return {"maps": self.maps, "tasks": self.tasks, "items": self.items}
 
 
 class WorkQueue:
-    """Parent-side work-stealing scheduler over an executor.
+    """Parent-side FIFO scheduler over an executor.
 
-    ``run(submit, tasks)`` drives one map: ``submit(indices)`` must
-    return a :class:`~concurrent.futures.Future` resolving to the list
-    of per-index outcomes for exactly those micro-shard indices, in that
-    order.  The queue owns *which* indices go out together and *when*;
-    the caller owns *how* a group executes (pool worker, thread, …).
-    Outcomes come back as a list in micro-shard index order, each index
-    exactly once.
-
-    The instance is persistent: per-fn EWMA state and counters survive
-    across maps, which is what makes the second map's group sizing
-    adaptive rather than guessed.
+    ``run(submit, tasks)`` drives one map: ``submit(i)`` must return a
+    :class:`~concurrent.futures.Future` resolving to micro-shard ``i``'s
+    outcome.  The queue owns *when* each index goes out (all of them,
+    in plan order, before the first result is awaited); the caller owns
+    *how* it executes (pool worker, thread, …).  Task errors propagate
+    from the first failing index.  ``stats`` is updated by the owner of
+    the queue, under its own lock, so concurrent maps count exactly.
     """
 
-    def __init__(self, workers: int, policy: QueuePolicy | None = None):
+    def __init__(self, workers: int):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
-        self.policy = policy or policy_from_env()
         self.stats = QueueStats()
-        #: Per-map summary of the most recent run (for events/benches).
-        self.last: dict = {}
 
-    # -- group sizing ---------------------------------------------------
-    def _group_size(self, fn: str, n: int) -> int:
-        policy = self.policy
-        ewma = self.stats.ewma_ms.get(fn)
-        if not ewma or ewma <= 0.0:
-            cold = math.ceil(n / (self.workers * max(policy.oversubscribe, 1)))
-            return max(1, min(cold, policy.max_group))
-        size = int(round(policy.target_task_ms / ewma)) or 1
-        return max(policy.min_group, min(size, policy.max_group))
-
-    def _observe(self, fn: str, elapsed_ms: float, items: int) -> None:
-        if items <= 0:
-            return
-        item_ms = elapsed_ms / items
-        previous = self.stats.ewma_ms.get(fn)
-        alpha = self.policy.ewma_alpha
-        self.stats.ewma_ms[fn] = (
-            item_ms if previous is None
-            else alpha * item_ms + (1.0 - alpha) * previous
-        )
-
-    # -- the scheduling loop --------------------------------------------
-    def run(self, submit, tasks: list) -> list:
-        """Schedule ``tasks`` (micro-shards); outcomes in index order."""
-        n = len(tasks)
-        if n == 0:
-            return []
-        policy = self.policy
-        fn = getattr(tasks[0], "fn", "task")
-        workers = self.workers
-
-        deques: list[deque] = [deque() for _ in range(workers)]
-        if policy.mode == "fifo":
-            deques[0].extend(range(n))
-        else:
-            for slot, (lo, hi) in enumerate(partition_blocks(n, workers)):
-                deques[slot].extend(range(lo, hi))
-
-        outcomes: list = [None] * n
-        resolved = [False] * n
-        remaining = n
-        inflight: dict[Future, _Inflight] = {}
-        slot_busy = [False] * workers
-        resubmitted: set[tuple] = set()
-        launched = items_launched = steals = resubmits = duplicates = 0
-        t_start = time.perf_counter()
-
-        def pop_group(slot: int) -> "tuple[list, bool] | None":
-            """Choose a source deque and pop one group of indices."""
-            stolen = False
-            if deques[slot]:
-                source = slot
-            elif policy.mode == "fifo":
-                if not deques[0]:
-                    return None
-                source = 0
-            elif policy.mode == "adaptive":
-                source = max(range(workers), key=lambda v: len(deques[v]))
-                if not deques[source]:
-                    return None
-                stolen = source != slot
-            else:  # partition: a drained block means this slot is done
-                return None
-            dq = deques[source]
-            if policy.mode == "partition":
-                size = len(dq)  # the whole block as one task
-            elif policy.mode == "fifo":
-                size = 1
-            else:
-                size = self._group_size(fn, n)
-                if stolen:
-                    # Classic steal: take about half of the victim's
-                    # backlog from the opposite end it consumes from.
-                    size = min(size, max(1, len(dq) // 2))
-            size = min(size, len(dq))
-            if stolen:
-                group = [dq.pop() for _ in range(size)]
-                group.reverse()  # keep stolen runs in ascending order
-            else:
-                group = [dq.popleft() for _ in range(size)]
-            return group, stolen
-
-        def launch(slot: int, group: list, speculative: bool) -> None:
-            nonlocal launched, items_launched
-            future = submit(group)
-            inflight[future] = _Inflight(
-                slot=slot,
-                indices=group,
-                started=time.perf_counter(),
-                speculative=speculative,
-            )
-            slot_busy[slot] = True
-            launched += 1
-            if not speculative:
-                items_launched += len(group)
-
-        def try_resubmit(slot: int) -> bool:
-            """Speculatively duplicate the oldest overdue inflight group."""
-            nonlocal resubmits
-            if policy.mode != "adaptive":
-                return False
-            now = time.perf_counter()
-            ewma = self.stats.ewma_ms.get(fn, 0.0)
-            for info in sorted(inflight.values(), key=lambda i: i.started):
-                key = tuple(info.indices)
-                if info.speculative or key in resubmitted:
-                    continue
-                if all(resolved[i] for i in info.indices):
-                    continue
-                age_ms = (now - info.started) * 1e3
-                threshold = max(
-                    policy.straggler_min_ms,
-                    policy.straggler_factor * ewma * len(info.indices),
-                )
-                if age_ms >= threshold:
-                    resubmitted.add(key)
-                    resubmits += 1
-                    launch(slot, [i for i in info.indices if not resolved[i]],
-                           speculative=True)
-                    return True
-            return False
-
-        while remaining:
-            for slot in range(workers):
-                if slot_busy[slot]:
-                    continue
-                popped = pop_group(slot)
-                if popped is not None:
-                    group, stolen = popped
-                    if stolen:
-                        steals += 1
-                    launch(slot, group, speculative=False)
-                else:
-                    try_resubmit(slot)
-            if not inflight:  # pragma: no cover - structurally impossible
-                raise RuntimeError(
-                    f"work queue stalled with {remaining} items unscheduled"
-                )
-            # Block until something completes — except when an idle slot
-            # is starved (deques empty, work still inflight) and waiting
-            # for a straggler threshold to trip, where we poll instead.
-            may_speculate = (
-                policy.mode == "adaptive" and not all(slot_busy)
-            )
-            done, _pending = wait(
-                list(inflight),
-                timeout=_STRAGGLER_POLL_S if may_speculate else None,
-                return_when=FIRST_COMPLETED,
-            )
-            for future in done:
-                info = inflight.pop(future)
-                slot_busy[info.slot] = False
-                group_outcomes = future.result()  # task errors propagate
-                elapsed_ms = (time.perf_counter() - info.started) * 1e3
-                for index, outcome in zip(info.indices, group_outcomes):
-                    if resolved[index]:
-                        # The speculative twin won: drop this outcome
-                        # (result *and* blob) so the index merges once.
-                        duplicates += 1
-                        continue
-                    resolved[index] = True
-                    outcomes[index] = outcome
-                    remaining -= 1
-                self._observe(fn, elapsed_ms, len(info.indices))
-
-        # Losing speculative twins may still be queued or running; cancel
-        # what we can so the pool doesn't burn cycles on discarded work.
-        for future in inflight:
-            future.cancel()
-
-        wall_ms = (time.perf_counter() - t_start) * 1e3
-        self.stats.maps += 1
-        self.stats.tasks += launched
-        self.stats.items += items_launched
-        self.stats.steals += steals
-        self.stats.resubmits += resubmits
-        self.stats.duplicates += duplicates
-        self.last = {
-            "fn": fn,
-            "items": n,
-            "tasks": launched,
-            "steals": steals,
-            "resubmits": resubmits,
-            "duplicates": duplicates,
-            "workers": workers,
-            "mode": policy.mode,
-            "wall_ms": round(wall_ms, 3),
-        }
-        self._record_series(n, launched, steals, resubmits)
-        return outcomes
-
-    def _record_series(self, items, tasks, steals, resubmits) -> None:
-        """Publish scheduler counters to the live ring-buffer series.
-
-        Ring series merge order-independently and are not part of the
-        serial-vs-parallel artifact parity surface, so scheduler
-        telemetry can live here without perturbing ``--obs`` identity.
-        """
-        from repro.obs.live import TIMESERIES
-
-        now = time.time()
-        TIMESERIES.record("queue.depth", float(items), now, kind="max")
-        TIMESERIES.record("queue.tasks", float(tasks), now, kind="sum")
-        if steals:
-            TIMESERIES.record("queue.steals", float(steals), now, kind="sum")
-        if resubmits:
-            TIMESERIES.record("queue.resubmits", float(resubmits), now,
-                              kind="sum")
-
-    def with_policy(self, policy: QueuePolicy) -> "WorkQueue":
-        """A queue sharing this one's EWMA/stat state under ``policy``."""
-        clone = WorkQueue(self.workers, policy=policy)
-        clone.stats = self.stats
-        return clone
-
-
-# ----------------------------------------------------------------------
-# Futures facade over the installed backend.
-# ----------------------------------------------------------------------
-
-
-class TaskFuture:
-    """Handle for one submitted task; resolves on ``gather``/``result``."""
-
-    __slots__ = ("_queue", "_done", "_value", "_error")
-
-    def __init__(self, queue: "TaskQueue"):
-        self._queue = queue
-        self._done = False
-        self._value = None
-        self._error: BaseException | None = None
-
-    def done(self) -> bool:
-        return self._done
-
-    def result(self):
-        if not self._done:
-            self._queue.flush()
-        if self._error is not None:
-            raise self._error
-        return self._value
-
-    def _resolve(self, value) -> None:
-        self._done = True
-        self._value = value
-
-    def _fail(self, error: BaseException) -> None:
-        self._done = True
-        self._error = error
-
-
-class TaskQueue:
-    """``submit``/``gather`` API over :func:`repro.parallel.get_backend`.
-
-    Accumulates heterogeneous tasks and flushes them through the
-    installed backend in submission order, grouped per model (the
-    backend ships each model through the shm arena once).  Execution is
-    batch-synchronous: ``gather`` (or the first ``result()``) drains the
-    pending set through the scheduler; determinism follows from the
-    backend's index-ordered merge.
-    """
-
-    def __init__(self, model=None):
-        self._default_model = model
-        self._pending: list[tuple[object, object, TaskFuture]] = []
-
-    def submit(self, fn: str, payload: dict | None = None, *,
-               model=None) -> TaskFuture:
-        from repro.parallel.backend import ShardTask
-
-        future = TaskFuture(self)
-        task = ShardTask(fn=fn, payload=dict(payload or {}))
-        self._pending.append(
-            (model if model is not None else self._default_model, task, future)
-        )
-        return future
-
-    def flush(self) -> None:
-        """Run every pending task through the backend; resolve futures."""
-        from repro.parallel.backend import get_backend
-
-        if not self._pending:
-            return
-        pending, self._pending = self._pending, []
-        backend = get_backend()
-        # Group by model identity, preserving submission order within
-        # each group (and across groups, first-seen order).
-        groups: dict[int, tuple[object, list]] = {}
-        for model, task, future in pending:
-            groups.setdefault(id(model), (model, []))[1].append((task, future))
-        for model, entries in groups.values():
-            tasks = [task for task, _future in entries]
-            try:
-                results = backend.run_tasks(model, tasks)
-            except BaseException as exc:
-                for _task, future in entries:
-                    future._fail(exc)
-                raise
-            for (_task, future), result in zip(entries, results):
-                future._resolve(result)
-
-    def gather(self, futures: "list[TaskFuture]") -> list:
-        """Resolve ``futures`` (flushing pending work) and return results."""
-        self.flush()
+    @staticmethod
+    def run(submit, tasks: list) -> list:
+        """Submit every micro-shard; outcomes in index order."""
+        futures = [submit(index) for index in range(len(tasks))]
         return [future.result() for future in futures]
 
 
-__all__ = [
-    "QueuePolicy",
-    "QueueStats",
-    "TaskFuture",
-    "TaskQueue",
-    "WorkQueue",
-    "partition_blocks",
-    "policy_from_env",
-]
+__all__ = ["QueueStats", "WorkQueue"]

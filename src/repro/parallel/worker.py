@@ -231,16 +231,3 @@ def remote_execute(handle, fn: str, payload: dict, capture: bool):
         TIMESERIES.clear()
     return result, blob
 
-
-def remote_execute_many(handle, subtasks, capture: bool) -> list:
-    """Execute a *group* of shards in one pool round trip.
-
-    ``subtasks`` is a list of ``(fn, payload)`` pairs — one contiguous
-    run of micro-shards grouped by the work-stealing queue.  Each shard
-    still goes through :func:`remote_execute` individually, so every
-    micro-shard produces its own ``(result, blob)`` exactly as if it had
-    been dispatched alone; grouping changes the dispatch overhead, never
-    the computation or the telemetry granularity.
-    """
-    return [remote_execute(handle, fn, payload, capture)
-            for fn, payload in subtasks]

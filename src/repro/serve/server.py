@@ -659,13 +659,11 @@ class AnalogServer:
 
     @staticmethod
     def _queue_stats() -> dict:
-        """Work-stealing scheduler counters (empty under serial backend)."""
+        """Work-queue counters (empty under serial backend)."""
         from repro.parallel.backend import get_backend
 
         queue = getattr(get_backend(), "queue", None)
-        if queue is None:
-            return {}
-        return {**queue.stats.as_dict(), "last": dict(queue.last)}
+        return {} if queue is None else queue.stats.as_dict()
 
     def stats(self) -> ServerStats:
         batcher = self._batcher.stats

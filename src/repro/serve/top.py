@@ -88,12 +88,7 @@ def render_top(stats: dict, clock=time.time) -> str:
         + f" anomalies={health.get('anomalies', 0)}"
     )
     if queue:
-        header += (
-            f"  queue[{queue.get('last', {}).get('mode', '-')}]"
-            + f" tasks={queue.get('tasks', 0)}"
-            + f" steals={queue.get('steals', 0)}"
-            + f" resubmits={queue.get('resubmits', 0)}"
-        )
+        header += f"  queue tasks={queue.get('tasks', 0)} maps={queue.get('maps', 0)}"
     lines = [header, ""]
     lines.extend(
         render_table(

@@ -12,7 +12,7 @@ engine cache): the fast paths must reproduce the oracle *bit for bit*.
 Independence boundary
 ---------------------
 The oracle never imports the simulator module.  It deliberately shares
-three primitives with it, because they are part of the numerical
+two primitives with it, because they are part of the numerical
 contract rather than of the implementation under test:
 
 * the **column predictor** itself (``prepare_crossbar`` /
@@ -27,11 +27,6 @@ contract rather than of the implementation under test:
   row's bits depend neither on its batch nor on the BLAS build or CPU.
   The predictor is itself pinned to a scalar-loop reference,
   :func:`naive_geniex_currents` / :func:`naive_ideal_currents` below;
-* ``np.matmul`` for the guard's ideal digital fallback and the
-  calibration ideal.  These are the only BLAS calls left on the
-  contract: one call on identical operands is deterministic on one
-  machine, so engine and oracle agree, but their last bits may differ
-  between BLAS builds;
 * ``np.sum`` / ``np.mean`` pairwise reductions for per-row voltage
   sums, the gain statistics and GENIEx's mean drive ``v_frac``.
   Pairwise summation order is part of the contract: a naive
@@ -42,7 +37,9 @@ Everything else — quantization, slicing, tiling, ADC transfer, the
 dequantization and shift-and-add accumulation — is explicit per-element
 arithmetic in the engine's documented accumulation order (banks
 ascending, streams ascending, chunks in column-tile x slice x +/- sign
-order).  Floating-point addition is not associative, so this order is
+order).  The guard's ideal digital fallback and the calibration ideal
+go through the scalar-loop :func:`naive_ideal_currents`, so no BLAS
+call is left on the contract.  Floating-point addition is not associative, so this order is
 itself part of the contract the differential tests pin.
 
 ULP-tolerance policy
@@ -410,7 +407,7 @@ class OracleEngine:
         probes = rng.random((num_vectors, self.in_features))
         probes *= rng.random((num_vectors, self.in_features)) < 0.6
         analog = self._matvec_unsigned(probes)
-        ideal = probes @ np.asarray(weight, dtype=np.float64).T
+        ideal = naive_ideal_currents(probes, np.asarray(weight, dtype=np.float64).T)
         sum_ai = np.sum(analog * ideal, axis=0)
         sum_aa = np.sum(analog * analog, axis=0)
         gains = np.divide(
@@ -597,10 +594,11 @@ class OracleEngine:
                 quantized = self._adc(currents)
                 if fallback is not None:
                     # Ideal digital fallback: exact integer partial
-                    # products via the fault-free conductances (shared
-                    # matmul primitive, identical operands to the
-                    # engine's substitution).
-                    quantized[:, fallback] = voltages @ bank.ideal_bias[:, fallback]
+                    # products via the fault-free conductances, summed
+                    # in the fixed ascending order.
+                    quantized[:, fallback] = naive_ideal_currents(
+                        voltages, bank.ideal_bias[:, fallback]
+                    )
                 stream_scale = float(2.0 ** (bs.stream_bits * t))
                 for i in range(n):
                     # Pairwise np.sum: the row-voltage reduction is part

@@ -33,7 +33,7 @@ from repro.xbar.faults import FaultConfig, GuardConfig, with_faults, with_guard
 from repro.xbar.geniex import GENIExTrainConfig, GENIExTrainer
 from repro.xbar.presets import CrossbarConfig
 from repro.xbar.quant import QuantConfig, with_quant
-from repro.xbar.simulator import CircuitPredictor, IdealPredictor, default_kernel
+from repro.xbar.simulator import CircuitPredictor, IdealPredictor
 
 
 def tiny_config(
@@ -343,9 +343,9 @@ def _catalog(
             weight, tiny_config(adc_bits=6), IdealPredictor(), x, seed=seed
         ),
     )
-    # Work-stealing queue + multi-lane serving contracts (PR 10): the
-    # engine-level statements behind out-of-order micro-shard execution
-    # and cross-lane tenant interleaving.
+    # Work queue + multi-lane serving contracts: the engine-level
+    # statements behind out-of-order micro-shard execution and
+    # cross-lane tenant interleaving.
     yield (
         "metamorphic/queue/merge_order_identity",
         lambda: inv.check_queue_merge_order_identity(
@@ -375,12 +375,7 @@ def run_verification(
     Never raises on check failure — failures are recorded in the report
     (callers decide the exit code from ``report.passed``).
     """
-    report = ConformanceReport(
-        seed=seed,
-        quick=quick,
-        kernel_default=default_kernel(),
-        ckernels=_ckernels.available(),
-    )
+    report = ConformanceReport(seed=seed, quick=quick, ckernels=_ckernels.available())
     for name, check in _catalog(seed, quick):
         start = time.perf_counter()
         try:

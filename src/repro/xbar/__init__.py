@@ -42,16 +42,13 @@ from repro.xbar.presets import (
     preset_names,
 )
 from repro.xbar.simulator import (
-    KERNEL_MODES,
     CircuitPredictor,
     CrossbarEngine,
     IdealPredictor,
     NonIdealConv2d,
     NonIdealLinear,
     convert_to_hardware,
-    build_engine,
     calibrate_hardware,
-    default_kernel,
     fault_summary,
     guard_trips,
 )
@@ -88,12 +85,9 @@ __all__ = [
     "CrossbarEngine",
     "IdealPredictor",
     "CircuitPredictor",
-    "KERNEL_MODES",
-    "default_kernel",
     "NonIdealConv2d",
     "NonIdealLinear",
     "convert_to_hardware",
-    "build_engine",
     "calibrate_hardware",
     "fault_summary",
     "guard_trips",

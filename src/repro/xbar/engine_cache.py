@@ -74,7 +74,9 @@ _DISABLED_VALUES = {"", "0", "off", "none", "disabled"}
 #: Format 3: GENIEx column biases summed in the fixed order of
 #: :mod:`repro.xbar._ckernels` (format 2 held BLAS-rounded biases)
 #: and stored (hidden, cols).
-SNAPSHOT_FORMAT = 3
+#: Format 4: the stored probe-calibrated gain comes from a fixed-order
+#: ideal product (format 3 fitted it against a BLAS ``probes @ W.T``).
+SNAPSHOT_FORMAT = 4
 
 
 def resolve_disk_dir(override: "str | os.PathLike | None" = None) -> Path | None:

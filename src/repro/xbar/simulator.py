@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import copy
 import logging
-import os
 import time
 from dataclasses import dataclass
 from typing import Protocol
@@ -57,28 +56,21 @@ from repro.xbar.tiling import tile_matrix
 
 logger = logging.getLogger(__name__)
 
-#: Valid MVM kernel implementations (see :attr:`CrossbarEngine.kernel`).
-KERNEL_MODES = ("vectorized", "reference")
-
 #: Per-column gain clip bounds shared by every gain fit — guards
 #: against degenerate least-squares solutions on nearly-dead columns.
 GAIN_CLIP = (0.25, 4.0)
 
 
-def default_kernel() -> str:
-    """Process-default MVM kernel, overridable via ``REPRO_XBAR_KERNEL``.
+def _ideal_products(vectors: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Digital ``vectors @ weight.T`` for the gain fits, in float64.
 
-    ``vectorized`` (default) stacks all active bit-streams of a bank
-    into one predictor call; ``reference`` is the original per-stream
-    loop, kept as the golden numerical reference and the "before" side
-    of the hot-path benchmarks.  Both produce bit-identical outputs.
+    Summed in the fixed order of :func:`repro.xbar._ckernels.ordered_matmul`
+    rather than by BLAS, so the fitted gains (and every output scaled by
+    them) do not depend on the BLAS build or the CPU.
     """
-    mode = os.environ.get("REPRO_XBAR_KERNEL", "vectorized")
-    if mode not in KERNEL_MODES:
-        raise ValueError(
-            f"REPRO_XBAR_KERNEL must be one of {KERNEL_MODES}, got {mode!r}"
-        )
-    return mode
+    return _ckernels.ordered_matmul(
+        np.asarray(vectors, dtype=np.float64), np.asarray(weight, dtype=np.float64).T
+    )
 
 
 class ColumnPredictor(Protocol):
@@ -224,12 +216,13 @@ class _TileRowBank:
     total_cols: int
     # Per-bank-column shift-and-add weight ``sign * 2**(slice_bits*s)``
     # (exact powers of two, so applying it vectorized is bit-identical
-    # to the reference kernel's per-chunk scalar multiplies).
+    # to the oracle's per-chunk scalar multiplies).
     col_weight: np.ndarray | None = None
     # Fault-free conductances for the same used columns, kept only when
-    # the guard's digital fallback is enabled: ``voltages @ ideal_bias``
-    # reproduces the exact integer partial products after the dummy-
-    # column subtraction, i.e. the ideal digital path for this bank.
+    # the guard's digital fallback is enabled: the fixed-order product
+    # ``voltages @ ideal_bias`` reproduces the exact integer partial
+    # products after the dummy-column subtraction, i.e. the ideal
+    # digital path for this bank.
     ideal_bias: np.ndarray | None = None
     # Lazily cached predictor currents for an all-zero voltage row —
     # what compacted-away zero rows read back.  Deterministic for a
@@ -257,7 +250,6 @@ class CrossbarEngine:
         config: CrossbarConfig,
         predictor: ColumnPredictor,
         rng: np.random.Generator | None = None,
-        kernel: str | None = None,
     ):
         if weight.ndim != 2:
             raise ValueError(f"weight must be 2-D (out, in), got {weight.shape}")
@@ -268,8 +260,6 @@ class CrossbarEngine:
                 f"device levels_bits ({dev.levels_bits}) must equal "
                 f"bit-slice slice_bits ({bs.slice_bits})"
             )
-        if kernel is not None and kernel not in KERNEL_MODES:
-            raise ValueError(f"kernel must be one of {KERNEL_MODES}, got {kernel!r}")
         if config.quant.enabled and config.adc.bits is None:
             raise ValueError(
                 f"quantized inference (quant.mode={config.quant.mode!r}) requires "
@@ -280,11 +270,6 @@ class CrossbarEngine:
         self.predictor = predictor
         self.out_features, self.in_features = weight.shape
         self._rng = rng or np.random.default_rng(0)
-        # Explicit seam for the verification harness and benchmarks: a
-        # caller-chosen kernel wins over the process default.  Both
-        # kernels are bit-identical, so the choice never affects results
-        # (enforced by the golden tests and the repro.verify catalog).
-        self.kernel = kernel or default_kernel()
         self.perf = PerfCounters()
 
         matrix = np.asarray(weight, dtype=np.float64).T  # (in, out)
@@ -413,7 +398,7 @@ class CrossbarEngine:
         quantized mode — ``None`` until calibration sets it (see
         :meth:`set_input_scale`), during which matvec serves through
         the float path.  The remaining constants are pure functions of
-        the config, shared by both int kernels and the verify oracle.
+        the config, shared by the int kernel and the verify oracle.
         """
         qc = self.config.quant
         self.x_scale: float | None = None
@@ -551,7 +536,7 @@ class CrossbarEngine:
         probes = rng.random((num_vectors, self.in_features))
         probes *= rng.random((num_vectors, self.in_features)) < 0.6  # sparsity
         analog = self._matvec_unsigned(probes)
-        ideal = probes @ np.asarray(weight, dtype=np.float64).T
+        ideal = _ideal_products(probes, weight)
         return self._solve_gains(
             np.sum(analog * ideal, axis=0), np.sum(analog * analog, axis=0)
         )
@@ -723,7 +708,7 @@ class CrossbarEngine:
         probes poorly match post-ReLU activation statistics.
         """
         analog = self.matvec_raw(vectors)
-        ideal = np.asarray(vectors, dtype=np.float64) @ np.asarray(weight, dtype=np.float64).T
+        ideal = _ideal_products(vectors, weight)
         self.gain = self._solve_gains(
             np.sum(analog * ideal, axis=0), np.sum(analog * analog, axis=0)
         )
@@ -756,7 +741,7 @@ class CrossbarEngine:
             amax = float(np.abs(np.asarray(vectors, dtype=np.float64)).max())
             self._cal_amax = max(self._cal_amax, amax)
         analog = self.matvec_raw(vectors)
-        ideal = np.asarray(vectors, dtype=np.float64) @ np.asarray(weight, dtype=np.float64).T
+        ideal = _ideal_products(vectors, weight)
         self._gain_sum_aa += np.sum(analog * analog, axis=0)
         self._gain_sum_ai += np.sum(analog * ideal, axis=0)
         self._gain_rows += len(vectors)
@@ -799,70 +784,10 @@ class CrossbarEngine:
                 return out
         x_lsb = x_max / (bs.input_levels - 1)
         streams = self._stream_workspace().quantize_and_stream(x, x_lsb, bs)
-        if self.kernel == "reference":
-            self._accumulate_streams_reference(out, streams)
-        else:
-            self._accumulate_streams_vectorized(out, streams)
+        self._accumulate_streams(out, streams)
         return out * (x_lsb * self.w_scale)
 
-    def _accumulate_streams_reference(
-        self, out: np.ndarray, streams: list[np.ndarray]
-    ) -> None:
-        """Original per-(bank, stream) kernel, kept as the golden reference."""
-        bs = self.config.bitslice
-        dev = self.config.device
-        n = out.shape[0]
-        rows = self.config.rows
-        v_step = dev.v_read / (bs.stream_levels - 1)
-        perf = self.perf
-        for bank in self.banks:
-            width = bank.row_slice.stop - bank.row_slice.start
-            for t, stream in enumerate(streams):
-                seg = stream[:, bank.row_slice]
-                if not seg.any():
-                    perf.streams_skipped += 1
-                    continue  # all-zero stream contributes nothing
-                voltages = np.zeros((n, rows))
-                voltages[:, :width] = seg * v_step
-                start = time.perf_counter()
-                with _span("bank"):
-                    currents = self.predictor.predict_from_bias(voltages, bank.handle)
-                perf.predictor_seconds += time.perf_counter() - start
-                perf.bank_evals += 1
-                perf.streams_evaluated += 1
-                self._observe_adc(currents)
-                fallback_cols = self._check_tile_health(currents, bank)
-                currents = quantize_current(currents, self.config.adc, self._adc_full_scale)
-                if fallback_cols is not None:
-                    # Graceful degradation: recompute the sick tiles'
-                    # columns through the ideal digital path (exact
-                    # partial products, no ADC) instead of letting
-                    # NaN/Inf poison the whole forward pass.
-                    currents[:, fallback_cols] = (
-                        voltages @ bank.ideal_bias[:, fallback_cols]
-                    )
-                # Remove the G_min offset (dummy-column subtraction) and
-                # rescale currents back to integer dot products.
-                v_sum = voltages.sum(axis=1, keepdims=True)
-                dots = (currents - dev.g_min * v_sum) / (dev.g_step * v_step)
-                if self.dac_range is not None:
-                    # Serving mode: rows driving no voltage on this
-                    # stream contribute exactly nothing, as they would
-                    # had they arrived alone (their singleton batch
-                    # skips the stream outright).  Without this, the
-                    # predictor's dark current at zero bias makes a
-                    # row's result depend on its batch-mates.
-                    dead = ~seg.any(axis=1)
-                    if dead.any():
-                        dots[dead] = 0.0
-                stream_scale = float(2.0 ** (bs.stream_bits * t))
-                for chunk in bank.chunks:
-                    significance = float(2.0 ** (bs.slice_bits * chunk.slice_index))
-                    out[:, chunk.col_slice] += (chunk.sign * significance * stream_scale) * dots[
-                        :, chunk.offset : chunk.offset + chunk.width
-                    ]
-
-    def _accumulate_streams_vectorized(
+    def _accumulate_streams(
         self, out: np.ndarray, streams: list[np.ndarray]
     ) -> None:
         """Stacked-stream kernel: one predictor call per tile-row bank.
@@ -875,8 +800,10 @@ class CrossbarEngine:
         *not* row-stable), the per-element transforms
         (ADC quantization, dummy-column subtraction) apply identically
         to the stacked matrix, and the shift-and-add scalings are exact
-        powers of two — so the result is bit-identical to the reference
-        kernel (enforced by the golden regression tests).
+        powers of two — so the result is bit-identical to the per-stream
+        evaluation of :class:`repro.verify.oracle.OracleEngine`
+        (enforced by the golden regression tests and the verify
+        catalog).
 
         All-zero *rows* within an evaluated stream are compacted away
         before the predictor call: a zero voltage row yields the same
@@ -951,8 +878,8 @@ class CrossbarEngine:
             # weighted zero-row evaluation.  Bit-identical to the numpy
             # chain below (enforced by the golden tests); anything sick
             # — which requires injected faults — falls through to the
-            # reference guard path so trip counts and warn ordering
-            # stay exact, as does a missing compiler.
+            # per-stream guard chain so trip counts and warn ordering
+            # match the oracle, as does a missing compiler.
             if check == 0 or zero_row is None or self._currents_healthy(zero_row):
                 res = _ckernels.dequant_dots(
                     packed, packed_v_sum, bank.col_weight,
@@ -1010,8 +937,8 @@ class CrossbarEngine:
                                 pos : pos + cnt
                             ]
                 # Health checks run per stream slice so guard-trip
-                # counts and warn-once ordering match the reference
-                # kernel exactly.
+                # counts and warn-once ordering match the oracle's
+                # per-stream evaluation exactly.
                 fallbacks = [
                     self._check_tile_health(currents[k * n : (k + 1) * n], bank)
                     for k in range(len(active))
@@ -1030,7 +957,9 @@ class CrossbarEngine:
                             # exact zeros.
                             stream_volts = np.zeros((n, rows))
                             stream_volts[idx] = volts[pos : pos + cnt]
-                        currents[blk][:, mask] = stream_volts @ bank.ideal_bias[:, mask]
+                        currents[blk][:, mask] = _ckernels.ordered_matmul(
+                            stream_volts, bank.ideal_bias[:, mask]
+                        )
                 # Remove the G_min offset (dummy-column subtraction) and
                 # rescale currents back to integer dot products —
                 # elementwise, so doing it once on the stack is exact.
@@ -1038,14 +967,15 @@ class CrossbarEngine:
                 # Fold each chunk's ``sign * 2**(slice_bits * s)`` into
                 # one vectorized multiply; it and the stream scale are
                 # exact powers of two, so the factored product matches
-                # the reference kernel's fused scalar multiply bit for
-                # bit.
+                # the oracle's fused scalar multiply bit for bit.
                 weighted = dots * bank.col_weight
             if self.dac_range is not None and compacted:
-                # Serving mode: compacted-away zero rows contribute
-                # exactly nothing (their singleton batch would have
-                # skipped the stream), instead of the bank's zero-bias
-                # dark current — see _accumulate_streams_reference.
+                # Serving mode: rows driving no voltage on this stream
+                # contribute exactly nothing, as they would had they
+                # arrived alone (their singleton batch skips the stream
+                # outright).  Without this, the predictor's dark current
+                # at zero bias makes a row's result depend on its
+                # batch-mates.
                 for k, (_t, idx, _seg) in enumerate(active):
                     if idx is None:
                         continue
@@ -1081,8 +1011,8 @@ class CrossbarEngine:
         Guard fallbacks accumulate separately in ``B`` as exact integer
         ideal dot products (``plane_seg @ int_levels``), dequantized by
         the plain ``x_scale * w_scale`` product.  Integer accumulation
-        is order-exact, so both kernels and any worker sharding agree
-        bit for bit.
+        is order-exact, so the kernel, the oracle and any worker
+        sharding agree bit for bit.
         """
         qc = self.config.quant
         n = x.shape[0]
@@ -1100,10 +1030,7 @@ class CrossbarEngine:
             if not mags.any():
                 continue
             planes = ws.planes(mags, qc)
-            if self.kernel == "reference":
-                B = self._accumulate_planes_reference(A, B, planes, sign)
-            else:
-                B = self._accumulate_planes_vectorized(A, B, planes, sign)
+            B = self._accumulate_planes(A, B, planes, sign)
         # Headroom telemetry: the engine's int64 accumulator is exact,
         # but a 32-bit hardware shift-and-add register would have
         # saturated on this batch.
@@ -1115,51 +1042,7 @@ class CrossbarEngine:
             out += B * k_dot
         return out
 
-    def _accumulate_planes_reference(
-        self,
-        A: np.ndarray,
-        B: np.ndarray | None,
-        planes: list[np.ndarray],
-        sign: int,
-    ) -> np.ndarray | None:
-        """Per-(bank, plane) integer kernel — the quantized golden reference."""
-        n = A.shape[0]
-        rows = self.config.rows
-        v_step = self._quant_v_step
-        perf = self.perf
-        for bank in self.banks:
-            width = bank.row_slice.stop - bank.row_slice.start
-            for t, plane in enumerate(planes):
-                seg = plane[:, bank.row_slice]
-                if not seg.any():
-                    perf.planes_skipped += 1
-                    continue  # all-zero plane contributes nothing
-                voltages = np.zeros((n, rows))
-                voltages[:, :width] = seg * v_step
-                start = time.perf_counter()
-                with _span("bank"):
-                    currents = self.predictor.predict_from_bias(voltages, bank.handle)
-                perf.predictor_seconds += time.perf_counter() - start
-                perf.bank_evals += 1
-                perf.planes_evaluated += 1
-                self._observe_adc(currents)
-                fallback_cols = self._check_tile_health(currents, bank)
-                codes = self._adc_int_codes(currents)
-                if self.dac_range is not None:
-                    # Serving mode: zero-pulse rows contribute no codes
-                    # (their singleton batch skips the plane), so the
-                    # differential accumulation cancels to exactly 0
-                    # for them regardless of batch-mates.
-                    dead = ~seg.any(axis=1)
-                    if dead.any():
-                        codes[dead] = 0
-                B = self._int_accumulate_chunks(
-                    A, B, codes, bank, seg, sign, t,
-                    self._fallback_groups(bank, fallback_cols),
-                )
-        return B
-
-    def _accumulate_planes_vectorized(
+    def _accumulate_planes(
         self,
         A: np.ndarray,
         B: np.ndarray | None,
@@ -1168,13 +1051,13 @@ class CrossbarEngine:
     ) -> np.ndarray | None:
         """Stacked-plane integer kernel: one predictor call per bank.
 
-        Mirrors :meth:`_accumulate_streams_vectorized` — all non-zero
+        Mirrors :meth:`_accumulate_streams` — all non-zero
         pulse planes of a bank stack into one predictor call, all-zero
         rows compact away against the cached zero-row evaluation — but
         the post-predictor chain is integer: one ADC-code pass over the
         packed rows, then exact shift-and-add.  Anything unhealthy
-        (requires injected faults) falls through to the reference guard
-        chain so trip counts and warn ordering stay exact.
+        (requires injected faults) falls through to the per-plane guard
+        chain so trip counts and warn ordering match the oracle.
         """
         n = A.shape[0]
         rows = self.config.rows
@@ -1249,8 +1132,8 @@ class CrossbarEngine:
                     )
             else:
                 # Guard engaged: expand back to dense per-plane current
-                # blocks and run the reference guard chain so trip
-                # counts and warn-once ordering match it exactly.
+                # blocks and run the per-plane guard chain so trip
+                # counts and warn-once ordering match the oracle.
                 if not compacted:
                     currents = packed
                 else:
@@ -1271,7 +1154,7 @@ class CrossbarEngine:
                     fallback_cols = self._check_tile_health(blk, bank)
                     codes = self._adc_int_codes(blk)
                     if self.dac_range is not None and idx is not None:
-                        # Serving mode: see the reference kernel above.
+                        # Serving mode: see the cached-codes branch above.
                         keep = np.zeros(n, dtype=bool)
                         keep[idx] = True
                         codes[~keep] = 0
@@ -1386,7 +1269,7 @@ class CrossbarEngine:
         return bank.zero_codes
 
     def _int_workspace(self, name: str, m: int, cols: int) -> np.ndarray:
-        """Reusable int32 code buffer for the vectorized integer kernel."""
+        """Reusable int32 code buffer for the integer kernel."""
         buf = getattr(self, name, None)
         if buf is None or buf.shape[0] < m or buf.shape[1] != cols:
             buf = np.empty((m, cols), dtype=np.int32)
@@ -1429,7 +1312,7 @@ class CrossbarEngine:
             probe[1] += currents.size
 
     def _voltage_workspace(self, m: int, rows: int) -> np.ndarray:
-        """Reusable float64 voltage buffer for the vectorized kernel."""
+        """Reusable float64 voltage buffer for the float kernel."""
         buf = getattr(self, "_volt_buf", None)
         if buf is None or buf.shape[0] < m or buf.shape[1] != rows:
             buf = np.empty((m, rows), dtype=np.float64)
@@ -1460,13 +1343,13 @@ class CrossbarEngine:
         return self._guard_trips
 
     def _currents_healthy(self, currents: np.ndarray) -> bool:
-        """Cheap all-clear probe for the vectorized fast path.
+        """Cheap all-clear probe for the fused fast path.
 
         True iff :meth:`_check_tile_health` would return ``None``
         without tripping the guard for every stream block drawn from
         ``currents`` — finite everywhere and under the saturation
-        limit.  Anything sick routes the bank through the reference
-        chain so trip counts and warn ordering stay exact.
+        limit.  Anything sick routes the bank through the per-stream
+        guard chain so trip counts and warn ordering stay exact.
         """
         if not np.isfinite(currents).all():
             return False
@@ -1531,23 +1414,6 @@ class CrossbarEngine:
             if sick_cols[span].any():
                 fallback[span] = True
         return fallback
-
-    def ideal_matvec(self, x: np.ndarray, weight: np.ndarray) -> np.ndarray:
-        """Reference ideal computation (digital float)."""
-        return np.asarray(x) @ np.asarray(weight).T
-
-
-def build_engine(
-    weight: np.ndarray,
-    config: CrossbarConfig,
-    predictor: ColumnPredictor | None = None,
-    rng: np.random.Generator | None = None,
-    kernel: str | None = None,
-) -> CrossbarEngine:
-    """Convenience constructor defaulting to the cached GENIEx backend."""
-    predictor = predictor or load_or_train_geniex(config)
-    return CrossbarEngine(weight, config, predictor, rng, kernel=kernel)
-
 
 class NonIdealLinear(Module):
     """Linear layer executed on the non-ideal crossbar hardware.
@@ -2031,7 +1897,6 @@ def restore_engine(
     engine.in_features = int(meta["in_features"])
     engine.w_scale = float(meta["w_scale"])
     engine._rng = np.random.default_rng(0)
-    engine.kernel = default_kernel()
     engine.perf = PerfCounters()
     engine.fault_summary = FaultSummary(**meta["fault_summary"])
     engine._guard_trips = 0

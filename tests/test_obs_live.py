@@ -270,6 +270,30 @@ def test_ring_merge_is_order_independent(kind, points, shards, seed) -> None:
     assert forward == serial.points()
 
 
+def test_sum_merge_is_exact_across_shardings() -> None:
+    """Five 0.99s summed serially, 3+2 and 2+3 give the same bucket.
+
+    Plain float folding gives 4.95 serially and 4.949999999999999 for
+    the sharded merges; exact partials make all three the rounded
+    exact total.
+    """
+
+    def shard(count: int) -> dict:
+        buf = RingBuffer(kind="sum", capacity=8, resolution_s=1.0)
+        for _ in range(count):
+            buf.record(0.99, t=0.0)
+        return json.loads(json.dumps(buf.snapshot()))
+
+    serial = RingBuffer.restore(shard(5))
+    results = []
+    for order in ((3, 2), (2, 3)):
+        parent = RingBuffer(kind="sum", capacity=8, resolution_s=1.0)
+        for count in order:
+            parent.merge(shard(count))
+        results.append(parent.points())
+    assert results == [serial.points()] * 2 == [[(0.0, math.fsum([0.99] * 5))]] * 2
+
+
 @given(points=_points)
 @settings(max_examples=30, deadline=None)
 def test_store_export_merge_round_trips_through_json(points) -> None:

@@ -1,15 +1,13 @@
-"""Work-stealing task queue: scheduling freedom never changes results.
+"""Submit-all FIFO work queue: scheduling freedom never changes results.
 
-The contract under test: :class:`repro.parallel.queue.WorkQueue` may
-group micro-shards however it likes, steal across worker deques,
-speculatively resubmit stragglers and observe completions in any order
-— and the outcome list is still exactly ``[f(task_0), f(task_1), ...]``
-with every index contributed exactly once.  The hypothesis property
-drives the real scheduler over a thread pool with generated per-item
-costs, worker counts and policy knobs (including thresholds chosen to
-force splits, coalesces, steals and resubmissions), so completion and
-steal orders vary wildly across examples while the merged output may
-not vary at all.
+The contract under test: :class:`repro.parallel.queue.WorkQueue`
+submits every micro-shard up front, in plan order, and completions may
+arrive in any order — yet the outcome list is still exactly
+``[f(task_0), f(task_1), ...]`` with every index contributed exactly
+once.  The hypothesis property drives the real scheduler over a thread
+pool with generated per-item costs and worker counts, so completion
+orders vary wildly across examples while the merged output may not
+vary at all.
 """
 
 from __future__ import annotations
@@ -24,60 +22,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn.resnet import build_model
-from repro.parallel import (
-    QueuePolicy,
-    ShardTask,
-    TaskQueue,
-    WorkQueue,
-    parallel_backend,
-    policy_from_env,
-)
-from repro.parallel.queue import partition_blocks
+from repro.parallel import ShardTask, WorkQueue
+from repro.parallel.backend import ProcessBackend, SerialBackend, set_backend
 from repro.train.trainer import evaluate_accuracy
 
 pytestmark = pytest.mark.queue
 
 
-# ----------------------------------------------------------------------
-# Pure planning helpers
-# ----------------------------------------------------------------------
-
-
-@given(n=st.integers(0, 300), parts=st.integers(1, 12))
-@settings(max_examples=100, deadline=None)
-def test_partition_blocks_balanced_and_contiguous(n: int, parts: int) -> None:
-    blocks = partition_blocks(n, parts)
-    assert len(blocks) == parts
-    cursor = 0
-    sizes = []
-    for lo, hi in blocks:
-        assert lo == cursor
-        assert hi >= lo
-        sizes.append(hi - lo)
-        cursor = hi
-    assert cursor == n
-    assert max(sizes) - min(sizes) <= 1
-
-
 def test_policy_validation() -> None:
-    with pytest.raises(ValueError):
-        QueuePolicy(mode="fair")
-    with pytest.raises(ValueError):
-        QueuePolicy(min_group=0)
-    with pytest.raises(ValueError):
-        QueuePolicy(min_group=8, max_group=4)
+    """The worker count, the queue's only parameter, is validated."""
     with pytest.raises(ValueError):
         WorkQueue(0)
-
-
-def test_policy_from_env(monkeypatch) -> None:
-    monkeypatch.delenv("REPRO_QUEUE_POLICY", raising=False)
-    assert policy_from_env().mode == "adaptive"
-    monkeypatch.setenv("REPRO_QUEUE_POLICY", "fifo")
-    assert policy_from_env().mode == "fifo"
-    monkeypatch.setenv("REPRO_QUEUE_POLICY", "nonsense")
-    with pytest.raises(ValueError):
-        policy_from_env()
 
 
 # ----------------------------------------------------------------------
@@ -92,211 +47,208 @@ def _expected(index: int) -> tuple:
 def _run_threaded(
     tasks: list,
     workers: int,
-    policy: QueuePolicy,
     sleeps_ms: list,
     execution_log: list | None = None,
 ):
-    """Drive the real WorkQueue with a ThreadPoolExecutor backend."""
-    queue = WorkQueue(workers, policy=policy)
+    """Drive the real WorkQueue with a ThreadPoolExecutor backend.
+
+    ``execution_log`` receives ``(index, thread name)`` per execution.
+    """
+    queue = WorkQueue(workers)
     lock = threading.Lock()
 
-    def run_group(indices: list) -> list:
-        out = []
-        for index in indices:
-            if sleeps_ms[index]:
-                time.sleep(sleeps_ms[index] / 1e3)
-            if execution_log is not None:
-                with lock:
-                    execution_log.append(index)
-            out.append((_expected(index), {"index": index}))
-        return out
+    def run_one(index: int) -> tuple:
+        if sleeps_ms[index]:
+            time.sleep(sleeps_ms[index] / 1e3)
+        if execution_log is not None:
+            with lock:
+                execution_log.append((index, threading.current_thread().name))
+        return (_expected(index), {"index": index})
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        outcomes = queue.run(
-            lambda indices: pool.submit(run_group, list(indices)), tasks
-        )
+        outcomes = queue.run(lambda index: pool.submit(run_one, index), tasks)
     return queue, outcomes
 
 
 @given(
     n=st.integers(0, 24),
     workers=st.integers(1, 4),
-    mode=st.sampled_from(["adaptive", "fifo", "partition"]),
-    target_ms=st.sampled_from([0.01, 1.0, 50.0]),
-    straggler_min_ms=st.sampled_from([0.5, 250.0]),
     seed=st.integers(0, 2**31 - 1),
 )
 @settings(max_examples=25, deadline=None)
-def test_merge_bitwise_order_independent(
-    n, workers, mode, target_ms, straggler_min_ms, seed
-) -> None:
-    """Any grouping / steal pattern / completion order → identical merge.
+def test_merge_bitwise_order_independent(n, workers, seed) -> None:
+    """Any completion order → identical merge, each index run once.
 
-    ``target_ms`` spans forced-split (tiny) to forced-coalesce (huge)
-    group sizing; a sub-millisecond straggler floor makes speculative
-    resubmission fire routinely; random sleeps scramble completion
-    order.  The outcome list must always equal the serial map.
+    Random sleeps scramble completion order; the outcome list must
+    always equal the serial map.
     """
     rng = np.random.default_rng(seed)
     sleeps_ms = [float(s) for s in rng.integers(0, 4, size=n)]
     tasks = [ShardTask("synthetic", {"index": i}) for i in range(n)]
-    policy = QueuePolicy(
-        mode=mode,
-        target_task_ms=target_ms,
-        straggler_min_ms=straggler_min_ms,
-        straggler_factor=1.5,
-        oversubscribe=2,
-    )
     log: list = []
-    queue, outcomes = _run_threaded(tasks, workers, policy, sleeps_ms, log)
+    _queue, outcomes = _run_threaded(tasks, workers, sleeps_ms, log)
     assert outcomes == [(_expected(i), {"index": i}) for i in range(n)]
-    # Every index executed at least once; extra executions can only
-    # come from speculative resubmission, never from steals or splits.
-    assert set(log) == set(range(n))
-    if queue.stats.resubmits == 0:
-        assert len(log) == n
+    assert sorted(index for index, _thread in log) == list(range(n))
+
+
+def test_submits_every_shard_before_awaiting_any() -> None:
+    """All ``n`` shards are in flight at once, not only ``workers`` of them.
+
+    Each task blocks until every submit has happened.  A dispatcher that
+    waits for a free slot before submitting the next shard (one parent
+    round trip per task) never reaches ``n`` submits and times out.
+    """
+    n, workers = 6, 2
+    submitted = threading.Event()
+    count = 0
+
+    def run_one(index: int) -> int:
+        if not submitted.wait(timeout=5.0):
+            raise TimeoutError(f"shard {index}: only {count} of {n} submitted")
+        return index
+
+    with ThreadPoolExecutor(max_workers=n) as pool:
+
+        def submit(index):
+            nonlocal count
+            future = pool.submit(run_one, index)
+            count += 1
+            if count == n:
+                submitted.set()
+            return future
+
+        outcomes = WorkQueue(workers).run(submit, list(range(n)))
+    assert outcomes == list(range(n))
 
 
 def test_steal_flattens_skew() -> None:
-    """A head-heavy block gets stolen from instead of serializing."""
+    """A head-heavy block is spread over idle workers, not serialized.
+
+    A static contiguous partition would hand shards 0-3 to one worker
+    as one task.  With one shared FIFO queue every idle worker takes
+    the next heavy shard, so the heavy head runs on more than one
+    worker.
+    """
     n, workers = 12, 3
     sleeps_ms = [40.0, 40.0, 40.0, 40.0] + [2.0] * 8
     tasks = [ShardTask("synthetic", {"index": i}) for i in range(n)]
-    policy = QueuePolicy(mode="adaptive", target_task_ms=1.0, max_group=2)
-    queue, outcomes = _run_threaded(tasks, workers, policy, sleeps_ms)
+    log: list = []
+    _queue, outcomes = _run_threaded(tasks, workers, sleeps_ms, log)
     assert outcomes == [(_expected(i), {"index": i}) for i in range(n)]
-    assert queue.stats.steals >= 1
-
-
-def test_straggler_resubmission_first_wins() -> None:
-    """One stuck item is speculatively duplicated; results unchanged."""
-    n, workers = 6, 2
-    sleeps_ms = [120.0] + [1.0] * 5
-    tasks = [ShardTask("synthetic", {"index": i}) for i in range(n)]
-    policy = QueuePolicy(
-        mode="adaptive",
-        target_task_ms=0.5,
-        max_group=1,
-        straggler_min_ms=5.0,
-        straggler_factor=1.1,
-    )
-    queue, outcomes = _run_threaded(tasks, workers, policy, sleeps_ms)
-    assert outcomes == [(_expected(i), {"index": i}) for i in range(n)]
-    assert queue.stats.resubmits >= 1
+    heavy_threads = {thread for index, thread in log if index < 4}
+    assert len(heavy_threads) >= 2
 
 
 def test_fifo_policy_never_steals_or_resubmits() -> None:
-    n, workers = 10, 3
-    sleeps_ms = [5.0] * n
-    tasks = [ShardTask("synthetic", {"index": i}) for i in range(n)]
-    queue, outcomes = _run_threaded(
-        tasks, workers, QueuePolicy(mode="fifo"), sleeps_ms
-    )
-    assert outcomes == [(_expected(i), {"index": i}) for i in range(n)]
-    assert queue.stats.steals == 0
-    assert queue.stats.resubmits == 0
-    assert queue.stats.tasks == n  # one pool task per micro-shard
+    """One pool task per micro-shard: no grouping, no duplicates.
 
-
-def test_partition_policy_one_task_per_worker() -> None:
-    n, workers = 9, 3
-    tasks = [ShardTask("synthetic", {"index": i}) for i in range(n)]
-    queue, outcomes = _run_threaded(
-        tasks, workers, QueuePolicy(mode="partition"), [0.0] * n
-    )
-    assert outcomes == [(_expected(i), {"index": i}) for i in range(n)]
-    assert queue.stats.tasks == workers
-    assert queue.stats.steals == 0
+    The counters live on the backend's queue and are what ``perfbench``
+    and ``repro top`` read.
+    """
+    n = 10
+    tasks = [ShardTask("synthetic", {"index": i, "sleep_ms": 5.0}) for i in range(n)]
+    backend = ProcessBackend(3)
+    try:
+        results = backend.run_tasks(None, tasks)
+    finally:
+        backend.close()
+    assert [r["index"] for r in results] == list(range(n))
+    assert backend.queue.stats.as_dict() == {"maps": 1, "tasks": n, "items": n}
 
 
 def test_task_error_propagates() -> None:
     tasks = [ShardTask("synthetic", {"index": i}) for i in range(4)]
-    queue = WorkQueue(2, policy=QueuePolicy(mode="adaptive"))
+    queue = WorkQueue(2)
 
-    def run_group(indices):
-        if 2 in indices:
+    def run_one(index):
+        if index == 2:
             raise RuntimeError("shard exploded")
-        return [(_expected(i), {}) for i in indices]
+        return (_expected(index), {})
 
     with ThreadPoolExecutor(max_workers=2) as pool:
         with pytest.raises(RuntimeError, match="shard exploded"):
-            queue.run(
-                lambda idxs: pool.submit(run_group, list(idxs)), tasks
-            )
-
-
-def test_ewma_persists_and_adapts_group_size() -> None:
-    """Second map coalesces once the per-item EWMA is known."""
-    n, workers = 16, 2
-    tasks = [ShardTask("synthetic", {"index": i}) for i in range(n)]
-    policy = QueuePolicy(mode="adaptive", target_task_ms=50.0, oversubscribe=8)
-    queue = WorkQueue(workers, policy=policy)
-
-    def submit_factory(pool):
-        def run_group(indices):
-            time.sleep(0.002 * len(indices))
-            return [(_expected(i), {}) for i in indices]
-
-        return lambda idxs: pool.submit(run_group, list(idxs))
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        queue.run(submit_factory(pool), tasks)
-        cold_tasks = queue.last["tasks"]
-        queue.run(submit_factory(pool), tasks)
-        warm_tasks = queue.last["tasks"]
-    assert "synthetic" in queue.stats.ewma_ms
-    assert warm_tasks <= cold_tasks  # EWMA says items are cheap: coalesce
-    assert queue.stats.maps == 2
+            queue.run(lambda index: pool.submit(run_one, index), tasks)
 
 
 # ----------------------------------------------------------------------
-# Futures facade
+# Process backend vs serial identity
 # ----------------------------------------------------------------------
-
-
-def test_task_queue_submit_gather_serial_backend() -> None:
-    q = TaskQueue()
-    futures = [q.submit("synthetic", {"index": i}) for i in range(5)]
-    assert not futures[0].done()
-    values = q.gather(futures)
-    assert [v["index"] for v in values] == list(range(5))
-    assert all(f.done() for f in futures)
-
-
-def test_task_queue_result_triggers_flush() -> None:
-    q = TaskQueue()
-    future = q.submit("synthetic", {"index": 3})
-    assert future.result()["index"] == 3
 
 
 @pytest.mark.parametrize("workers", (2, 3))
 def test_task_queue_process_backend_identity(workers) -> None:
-    q = TaskQueue()
-    serial = [q.submit("synthetic", {"index": i}).result() for i in range(8)]
-    with parallel_backend(workers):
-        q2 = TaskQueue()
-        futures = [q2.submit("synthetic", {"index": i}) for i in range(8)]
-        parallel = q2.gather(futures)
+    """Synthetic shards through the pool's queue equal the serial map."""
+    tasks = [ShardTask("synthetic", {"index": i}) for i in range(8)]
+    serial = SerialBackend().run_tasks(None, tasks)
+    backend = ProcessBackend(workers)
+    try:
+        parallel = backend.run_tasks(None, tasks)
+    finally:
+        backend.close()
     assert parallel == serial
 
 
-# ----------------------------------------------------------------------
-# Queue-scheduled vs static-plan identity on a real model
-# ----------------------------------------------------------------------
+def _dispatch_order(mode: str, n: int, workers: int) -> list:
+    """The shard execution order a retired scheduling policy produced.
+
+    ``fifo`` is plan order (the live scheduler).  ``partition`` walks one
+    contiguous block per worker, the blocks interleaved.  ``adaptive``
+    had owners pop from the front while thieves stole from the back.
+    """
+    if mode == "fifo":
+        return list(range(n))
+    if mode == "partition":
+        bounds = [n * w // workers for w in range(workers + 1)]
+        blocks = [list(range(bounds[w], bounds[w + 1])) for w in range(workers)]
+        width = max(len(block) for block in blocks)
+        return [b[i] for i in range(width) for b in blocks if i < len(b)]
+    front, back, order = 0, n - 1, []
+    while front <= back:
+        order.append(front)
+        if back != front:
+            order.append(back)
+        front, back = front + 1, back - 1
+    return order
 
 
-@pytest.mark.parametrize("mode", ("adaptive", "fifo", "partition"))
+class _ReorderedQueue(WorkQueue):
+    """A WorkQueue that submits shards in a fixed non-plan order."""
+
+    def __init__(self, workers: int, mode: str):
+        super().__init__(workers)
+        self.mode = mode
+
+    def run(self, submit, tasks: list) -> list:
+        futures = {}
+        for index in _dispatch_order(self.mode, len(tasks), self.workers):
+            futures[index] = submit(index)
+        return [futures[index].result() for index in range(len(tasks))]
+
+
+@pytest.mark.parametrize("n,workers", [(0, 2), (1, 2), (5, 2), (7, 3), (8, 4)])
+@pytest.mark.parametrize("mode", ["adaptive", "fifo", "partition"])
+def test_dispatch_order_is_a_permutation(mode, n, workers) -> None:
+    assert sorted(_dispatch_order(mode, n, workers)) == list(range(n))
+
+
+@pytest.mark.parametrize("mode", ["adaptive", "fifo", "partition"])
 def test_eval_identical_across_queue_policies(mode) -> None:
-    """Every scheduling policy reproduces the serial accuracy bitwise."""
-    from repro.parallel.backend import ProcessBackend, set_backend
+    """Queue-scheduled evaluation reproduces the serial accuracy bitwise.
 
+    ``fifo`` runs the live scheduler.  The other modes replay the shard
+    execution orders of the retired grouping/stealing policies, so a
+    worker-side result that depended on which shards that worker ran
+    before would show up as a mismatch.
+    """
     model = build_model("resnet10", num_classes=4, width=4, seed=1)
     model.eval()
     rng = np.random.default_rng(0)
     x = rng.random((10, 3, 8, 8)).astype(np.float32)
     y = np.arange(10) % 4
     serial = evaluate_accuracy(model, x, y, batch_size=2)
-    backend = ProcessBackend(2, policy=QueuePolicy(mode=mode))
+    backend = ProcessBackend(2)
+    if mode != "fifo":
+        backend.queue = _ReorderedQueue(2, mode)
     previous = set_backend(backend)
     try:
         parallel = evaluate_accuracy(model, x, y, batch_size=2)
@@ -304,4 +256,7 @@ def test_eval_identical_across_queue_policies(mode) -> None:
         set_backend(previous)
         backend.close()
     assert serial == parallel
+    # A pool failure falls back to the serial path, which would match
+    # trivially; the maps counter only moves on the pool path.
+    assert not backend._broken
     assert backend.queue.stats.maps >= 1

@@ -550,15 +550,10 @@ def test_render_top_lane_and_queue_columns() -> None:
                 "tenants": [],
             },
         ],
-        "queue": {
-            "tasks": 7,
-            "steals": 2,
-            "resubmits": 1,
-            "last": {"mode": "adaptive"},
-        },
+        "queue": {"maps": 3, "tasks": 7, "items": 7},
     }
     frame = render_top_frame(payload)
-    assert "queue[adaptive] tasks=7 steals=2 resubmits=1" in frame
+    assert "queue tasks=7 maps=3" in frame
     assert "42%" in frame and "5%" in frame
     lines = frame.splitlines()
     lane_header = next(line for line in lines if "busy ms" in line)

@@ -117,9 +117,7 @@ class TestRunnerAndReport:
         assert json.loads(out.read_text())["passed"] is False
 
     def test_report_round_trips_details(self):
-        report = ConformanceReport(
-            seed=1, quick=False, kernel_default="vectorized", ckernels=True
-        )
+        report = ConformanceReport(seed=1, quick=False, ckernels=True)
         report.record(CheckResult("a", "pass", 0.01))
         report.record(CheckResult("b", "skip", 0.0, "not applicable"))
         data = report.to_dict()
@@ -137,9 +135,7 @@ class TestVerifyCli:
 
     def test_cli_exits_nonzero_on_mismatch(self, monkeypatch, tmp_path):
         def fake(seed, quick, out_path):
-            report = ConformanceReport(
-                seed=seed, quick=quick, kernel_default="vectorized", ckernels=False
-            )
+            report = ConformanceReport(seed=seed, quick=quick, ckernels=False)
             report.record(CheckResult("demo", "fail", 0.0, "drift"))
             return report
 
